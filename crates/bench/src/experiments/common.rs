@@ -21,8 +21,7 @@ use nada_traces::dataset::DatasetKind;
 use std::sync::{Arc, OnceLock};
 
 /// The one [`MetricsObserver`] every harness search attaches, so
-/// `pipeline_*` metrics accumulate across a whole harness run (and the
-/// `bench_snapshot` observability probe sees real traffic).
+/// `pipeline_*` metrics accumulate across a whole harness run.
 /// Observational only — results are bit-identical with it attached
 /// (pinned by `tests/obs_identity.rs`).
 fn shared_metrics_observer() -> Arc<MetricsObserver> {

@@ -8,7 +8,7 @@
 use crate::cli::HarnessOptions;
 use crate::experiments::common::{llm_for, nada_for, Model};
 use crate::paper;
-use nada_core::pipeline::parallel_map;
+use nada_core::pipeline::pool_map;
 use nada_core::report::TextTable;
 use nada_core::score::smoothed_score;
 use nada_core::{train_design, CompiledDesign, RunScale, TrainRunConfig};
@@ -69,7 +69,7 @@ pub fn collect_pool(
             let dataset = nada.dataset();
             let workload = nada.workload();
             let results: Vec<Option<(DesignSample, f64)>> =
-                parallel_map(work, &|(cid, code, state)| {
+                pool_map(work, &|(cid, code, state)| {
                     let out = train_design(
                         workload,
                         &state,

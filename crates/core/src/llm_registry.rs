@@ -11,11 +11,9 @@
 //! * `http` — the real chat-completions backend over the process-wide
 //!   connection pool ([`nada_llm_http::PooledClient`]): endpoint from
 //!   `NADA_API_BASE`, key from `NADA_API_KEY` only, pool width from
-//!   `NADA_LLM_CONNS` (default: the scheduler-lane count), all dispatch
-//!   gated by the shared rate-limit governor;
-//! * `http-serial` — the same backend over a single connection
-//!   ([`nada_llm_http::HttpClient`]), for debugging or strictly
-//!   sequential endpoints.
+//!   `NADA_LLM_CONNS` (default: the scheduler-lane count; `1` gives one
+//!   connection, every request on the calling thread), all dispatch
+//!   gated by the shared rate-limit governor.
 //!
 //! Any generating backend (`mock`, `http`) can be recorded by setting
 //! `record` on the [`LlmSpec`]: the built client is wrapped in a
@@ -26,7 +24,7 @@
 //! `k`'s client and still replay bit-identically.
 
 use nada_llm::{LlmClient, MockLlm, RecordingClient, ReplayClient};
-use nada_llm_http::{HttpClient, PooledClient};
+use nada_llm_http::PooledClient;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -130,11 +128,6 @@ impl LlmRegistry {
         r.register("http", |req| {
             let client = PooledClient::from_env(&req.spec.model)
                 .map_err(|e| LlmBuildError(e.to_string()))?;
-            maybe_record(Box::new(client), req)
-        });
-        r.register("http-serial", |req| {
-            let client =
-                HttpClient::from_env(&req.spec.model).map_err(|e| LlmBuildError(e.to_string()))?;
             maybe_record(Box::new(client), req)
         });
         r
@@ -260,13 +253,12 @@ mod tests {
     #[test]
     fn builtins_resolve_to_their_names() {
         let r = LlmRegistry::builtin();
-        assert_eq!(r.names(), vec!["mock", "replay", "http", "http-serial"]);
+        assert_eq!(r.names(), vec!["mock", "replay", "http"]);
         assert!(r.contains("mock"));
-        assert!(r.contains("http-serial"));
         let spec = LlmSpec::mock("gpt-4", 7);
         let err = build_err(&r, "claude", &req(&spec, "lane", 0));
         assert!(
-            err.to_string().contains("mock, replay, http, http-serial"),
+            err.to_string().contains("(available: mock, replay, http)"),
             "{err}"
         );
     }
@@ -356,6 +348,6 @@ mod tests {
         let spec = LlmSpec::mock("gpt-4", 5);
         let client = r.build("mock", &req(&spec, "lane", 0)).unwrap();
         assert_eq!(client.model_name(), "perfect");
-        assert_eq!(r.names(), vec!["mock", "replay", "http", "http-serial"]);
+        assert_eq!(r.names(), vec!["mock", "replay", "http"]);
     }
 }

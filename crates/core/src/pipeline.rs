@@ -40,13 +40,10 @@ use nada_nn::ArchConfig;
 use nada_traces::dataset::TraceDataset;
 use std::sync::Arc;
 
-// The order-preserving parallel maps the pipeline fans out with live in
-// `nada-exec` (shared with the bench harnesses); re-exported here so
-// `nada_core::pipeline::parallel_map` keeps working. The pipeline stages
-// themselves go through `pool_map`/`pool_map_indexed` — the process-wide
-// worker pool — so concurrent stages and nested fan-outs share cores
-// (override the width with `NADA_WORKERS`).
-pub use nada_exec::{parallel_map, pool_map, pool_map_indexed};
+// The pipeline stages fan out through `nada-exec`'s process-wide worker
+// pool (shared with the bench harnesses), so concurrent stages and nested
+// fan-outs share cores (override the width with `NADA_WORKERS`).
+pub use nada_exec::{pool_map, pool_map_indexed};
 
 /// Table 2 row: pre-check pass counts for one candidate pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -589,13 +586,6 @@ mod tests {
 
     fn tiny_nada(seed: u64) -> Nada {
         Nada::new(NadaConfig::new(DatasetKind::Fcc, RunScale::Tiny, seed))
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let xs: Vec<usize> = (0..100).collect();
-        let ys = parallel_map(xs, &|x| x * 2);
-        assert_eq!(ys, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

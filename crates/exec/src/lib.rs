@@ -1,27 +1,22 @@
 //! Deterministic parallel execution utilities.
 //!
-//! The NADA pipeline fans training runs out across CPU cores in several
-//! places (probe training, screening, finalist evaluation, experiment
-//! harnesses). They all share one primitive: an **order-preserving parallel
-//! map** over an owned work list. It lives here so `nada-core` and
-//! `nada-bench` use a single implementation with a single test suite.
+//! The NADA pipeline fans work out across CPU cores in several places
+//! (probe training, screening, finalist evaluation, experiment harnesses,
+//! waves of LLM requests). They all share one primitive: an
+//! **order-preserving parallel map**, provided by [`WorkPool`] and the
+//! process-wide instance behind [`pool_map`] / [`pool_map_indexed`]. It
+//! lives here so `nada-core`, `nada-llm-http` and `nada-bench` use a
+//! single implementation with a single test suite.
 //!
-//! Two engines provide that primitive:
+//! A pool keeps long-lived workers pulling from a shared injector queue.
+//! Concurrent maps (e.g. episodes of different candidate designs) share
+//! the same cores: when one batch runs out of unclaimed items, workers
+//! immediately flow to the next queued batch instead of idling at a join
+//! barrier. The calling thread always participates, claiming items from
+//! its own batch, so nested maps cannot deadlock and a pool with zero
+//! workers degrades to sequential execution on the caller.
 //!
-//! * [`parallel_map`] — the original scoped-thread fan-out: spawns workers
-//!   per call, joins them before returning. Simple, but each call pays
-//!   thread spawn/join latency and two concurrent calls oversubscribe the
-//!   machine instead of sharing it.
-//! * [`WorkPool`] / [`pool_map`] — a process-wide pool of long-lived
-//!   workers pulling from a shared injector queue. Concurrent maps (e.g.
-//!   episodes of different candidate designs) share the same cores: when
-//!   one batch runs out of unclaimed items, workers immediately flow to
-//!   the next queued batch instead of idling at a join barrier. The
-//!   calling thread always participates, claiming items from its own
-//!   batch, so nested maps cannot deadlock and a pool with zero workers
-//!   degrades to sequential execution.
-//!
-//! Guarantees (both engines):
+//! Guarantees:
 //!
 //! * **Order preservation** — slot `i` of the output is `f(items[i])`,
 //!   regardless of which worker ran it or when it finished.
@@ -32,6 +27,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -55,57 +51,6 @@ fn pool_metrics() -> &'static PoolMetrics {
         queue_depth: nada_obs::gauge("workpool_queue_depth"),
         workers_busy: nada_obs::gauge("workpool_workers_busy"),
     })
-}
-
-/// Order-preserving parallel map over an owned vector using scoped threads,
-/// with one worker per available CPU core (capped at the item count).
-pub fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
-    parallel_map_workers(items, available_workers(), f)
-}
-
-/// [`parallel_map`] with an explicit worker budget. `max_workers` is clamped
-/// to `1..=items.len()`, so `0` degrades to sequential execution rather than
-/// deadlocking.
-pub fn parallel_map_workers<T: Send, R: Send>(
-    items: Vec<T>,
-    max_workers: usize,
-    f: &(impl Fn(T) -> R + Sync),
-) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = max_workers.clamp(1, n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("no poisoned locks: workers do not panic while holding them")
-                    .take()
-                    .expect("each slot is taken exactly once");
-                let result = f(item);
-                *out[i].lock().expect("result slot lock") = Some(result);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("scope joined")
-                .expect("all slots filled")
-        })
-        .collect()
 }
 
 /// The default worker budget: one per available CPU core.
@@ -151,9 +96,8 @@ pub fn global_pool() -> &'static WorkPool {
     POOL.get_or_init(|| WorkPool::new(configured_workers()))
 }
 
-/// Order-preserving parallel map over the process-wide pool — a drop-in
-/// replacement for [`parallel_map`] that shares workers across concurrent
-/// callers instead of spawning a fresh thread set per call.
+/// Order-preserving parallel map over the process-wide pool, sharing its
+/// workers with every concurrent caller.
 pub fn pool_map<T: Send, R: Send>(items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
     global_pool().map(items, f)
 }
@@ -254,7 +198,11 @@ fn record_done(batch: &BatchState, panic: Option<Box<dyn Any + Send>>) {
 /// * Results land in their submission-order slot, so output order — and
 ///   with a pure `f`, output *content* — is independent of worker count
 ///   and scheduling. One global instance lives behind [`global_pool`];
-///   dedicated instances are for tests.
+///   dedicated instances give a caller a fixed width of its own (one per
+///   LLM connection pool, the experiment runner, tests).
+///
+/// `workpool_queue_depth` counts the batches queued across every pool in
+/// the process: each pool adds its enqueues and subtracts its removals.
 pub struct WorkPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -314,7 +262,7 @@ impl WorkPool {
         if !self.workers.is_empty() {
             let mut q = self.shared.queue.lock().expect("pool queue lock");
             q.batches.push_back(batch.clone());
-            metrics.queue_depth.set(q.batches.len() as i64);
+            metrics.queue_depth.inc();
             drop(q);
             self.shared.cv.notify_all();
         }
@@ -342,8 +290,10 @@ impl WorkPool {
         };
         if !self.workers.is_empty() {
             let mut q = self.shared.queue.lock().expect("pool queue lock");
+            let queued = q.batches.len();
             q.batches.retain(|b| !Arc::ptr_eq(b, &batch));
-            metrics.queue_depth.set(q.batches.len() as i64);
+            let removed = queued - q.batches.len();
+            metrics.queue_depth.add(-(removed as i64));
         }
         drop(batch);
         if let Some(payload) = panic {
@@ -359,8 +309,7 @@ impl WorkPool {
             .collect()
     }
 
-    /// Order-preserving parallel map over an owned work list — the pool
-    /// counterpart of [`parallel_map`].
+    /// Order-preserving parallel map over an owned work list.
     pub fn map<T: Send, R: Send>(&self, items: Vec<T>, f: &(impl Fn(T) -> R + Sync)) -> Vec<R> {
         let n = items.len();
         let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -377,6 +326,14 @@ impl WorkPool {
     /// Total concurrency this pool provides (pool threads + the caller).
     pub fn concurrency(&self) -> usize {
         self.workers.len() + 1
+    }
+}
+
+impl fmt::Debug for WorkPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkPool")
+            .field("concurrency", &self.concurrency())
+            .finish()
     }
 }
 
@@ -411,7 +368,7 @@ fn worker_loop(shared: &PoolShared) {
                 break;
             }
             q.batches.pop_front();
-            metrics.queue_depth.set(q.batches.len() as i64);
+            metrics.queue_depth.dec();
         }
         match claimed {
             Some((batch, i)) => {
@@ -436,13 +393,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn preserves_order() {
-        let xs: Vec<usize> = (0..500).collect();
-        let ys = parallel_map(xs, &|x| x * 2);
-        assert_eq!(ys, (0..500).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn lane_counts_degrade_to_sequential_and_cap_at_four() {
         assert_eq!(lanes_for(0), 1);
         assert_eq!(lanes_for(1), 1);
@@ -452,67 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn runs_every_item_exactly_once() {
-        let calls = AtomicUsize::new(0);
-        let ys = parallel_map((0..256).collect(), &|x: usize| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 256);
-        assert_eq!(ys.len(), 256);
-    }
-
-    #[test]
-    fn empty_input_is_a_no_op() {
-        let ys: Vec<usize> = parallel_map(Vec::<usize>::new(), &|x| x);
-        assert!(ys.is_empty());
-    }
-
-    #[test]
-    fn worker_count_is_clamped() {
-        // 0 workers degrades to sequential; absurd worker counts clamp to n.
-        assert_eq!(
-            parallel_map_workers(vec![1, 2, 3], 0, &|x| x + 1),
-            vec![2, 3, 4]
-        );
-        assert_eq!(
-            parallel_map_workers((0..4).collect(), 10_000, &|x: usize| x),
-            vec![0, 1, 2, 3]
-        );
-    }
-
-    #[test]
     fn single_worker_matches_sequential() {
+        // A width-1 pool spawns no thread: every item runs on the caller,
+        // in order.
+        let caller = std::thread::current().id();
         let xs: Vec<i64> = (0..64).collect();
         let seq: Vec<i64> = xs.iter().map(|x| x * x).collect();
-        assert_eq!(parallel_map_workers(xs, 1, &|x| x * x), seq);
-    }
-
-    #[test]
-    fn panics_propagate_to_the_caller() {
-        let result = std::panic::catch_unwind(|| {
-            parallel_map((0..64).collect(), &|x: usize| {
-                if x == 17 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
+        let got = WorkPool::new(1).map(xs, &|x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x * x
         });
-        assert!(result.is_err(), "worker panic must reach the caller");
-    }
-
-    #[test]
-    fn results_do_not_depend_on_worker_count() {
-        let xs: Vec<u64> = (0..200).collect();
-        let expect: Vec<u64> = xs
-            .iter()
-            .map(|x| x.wrapping_mul(31).rotate_left(7))
-            .collect();
-        for workers in [1, 2, 3, 8] {
-            let got =
-                parallel_map_workers(xs.clone(), workers, &|x| x.wrapping_mul(31).rotate_left(7));
-            assert_eq!(got, expect, "workers={workers}");
-        }
+        assert_eq!(got, seq);
     }
 
     #[test]
@@ -523,15 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_parallel_map_for_any_worker_count() {
-        // The pool and the scoped-thread engine must produce identical
-        // outputs for a pure f, at every concurrency including the
-        // degenerate 0 ("no pool threads") and 1.
+    fn pool_matches_sequential_map_for_any_worker_count() {
+        // A pure f gives the plain sequential map's output at every
+        // concurrency, including the degenerate 0 ("no pool threads")
+        // and 1.
+        let f = |x: u64| x.wrapping_mul(37).rotate_left(11);
         let xs: Vec<u64> = (0..300).collect();
-        let expect = parallel_map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
+        let expect: Vec<u64> = xs.iter().copied().map(f).collect();
         for workers in [0, 1, 2, 3, 8] {
             let pool = WorkPool::new(workers);
-            let got = pool.map(xs.clone(), &|x| x.wrapping_mul(37).rotate_left(11));
+            let got = pool.map(xs.clone(), &f);
             assert_eq!(got, expect, "workers={workers}");
         }
     }
@@ -610,6 +511,35 @@ mod tests {
         let _ = pool.map_indexed(64, |i| i);
         assert!(m.batches.get() > batches0);
         assert!(m.items.get() >= items0 + 64);
+    }
+
+    #[test]
+    fn queue_depth_counts_the_batches_of_every_pool() {
+        // A batch parked in pool `a` stays counted while pool `b` queues
+        // and removes its own: the gauge sums every pool's queue instead
+        // of holding the last pool's length.
+        let depth = &pool_metrics().queue_depth;
+        let (a, b) = (WorkPool::new(2), WorkPool::new(2));
+        let gate = std::sync::RwLock::new(());
+        let hold = gate.write().expect("gate lock");
+        let (started, running) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                a.map_indexed(3, |i| {
+                    started.send(i).expect("test thread listens");
+                    drop(gate.read().expect("gate lock"));
+                    i
+                })
+            });
+            // Items 0 and 1 hold both of `a`'s threads, so item 2 is
+            // unclaimed and the batch is still queued.
+            running.recv().expect("first item starts");
+            running.recv().expect("second item starts");
+            assert_eq!(b.map_indexed(4, |i| i), vec![0, 1, 2, 3]);
+            assert!(depth.get() >= 1, "queue depth {}", depth.get());
+            drop(hold);
+            assert_eq!(parked.join().expect("parked map"), vec![0, 1, 2]);
+        });
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The OpenAI-style chat-completions adapter behind [`LlmClient`].
+//! The OpenAI-style chat-completions request engine behind
+//! [`crate::pool::PooledClient`].
 //!
-//! [`HttpClient`] renders a [`Prompt`] to text, POSTs it to
-//! `{base}/chat/completions` as a single-user-message chat request, and
-//! parses `choices[0].message.content` back into a [`Completion`] (fenced
-//! code block → code, preceding prose → reasoning, mirroring the paper's
-//! chain-of-thought responses). Requests ride a persistent keep-alive
-//! [`Transport`]; the pooled variant ([`crate::pool::PooledClient`]) fans
-//! waves across several of them through the same crate-private request
-//! engine (`generate_over`).
+//! `generate_over` renders a [`Prompt`] to text, POSTs it to
+//! `{base}/chat/completions` as a single-user-message chat request over a
+//! persistent keep-alive [`Transport`], and parses
+//! `choices[0].message.content` back into a [`Completion`] (fenced code
+//! block → code, preceding prose → reasoning, mirroring the paper's
+//! chain-of-thought responses). [`HttpConfig`] holds the endpoint, key
+//! and retry knobs.
 //!
 //! Transient failures — 429 rate limits (honoring `Retry-After`), 5xx,
 //! dropped or truncated connections — retry with exponential backoff
@@ -24,10 +24,10 @@
 //! the substrate `--max-tokens-cost` budgets are enforced against.
 
 use crate::governor::RateGovernor;
-use crate::http::{Endpoint, HttpError, Transport};
+use crate::http::{HttpError, Transport};
 use crate::json::Json;
 use crate::redact::{redact, ApiKey};
-use nada_llm::{global_token_meter, Completion, LlmClient, Prompt, TokenUsage};
+use nada_llm::{global_token_meter, Completion, Prompt, TokenUsage};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -160,10 +160,10 @@ pub(crate) fn redact_http_err(key: Option<&ApiKey>, e: HttpError) -> HttpError {
 }
 
 /// One generation over one transport, with retry/backoff — the request
-/// engine shared by the serial [`HttpClient`] and every pooled
-/// connection. `slot` (a wave's submission index) is sent as
-/// [`SLOT_HEADER`] when present; `requests_sent` is incremented once per
-/// wire attempt. Every returned error has already been redacted.
+/// engine every pooled connection runs. `slot` (a wave's submission
+/// index) is sent as [`SLOT_HEADER`] when present; `requests_sent` is
+/// incremented once per wire attempt. Every returned error has already
+/// been redacted.
 pub(crate) fn generate_over(
     transport: &mut Transport,
     cfg: &HttpConfig,
@@ -261,80 +261,6 @@ pub(crate) fn generate_over(
             std::thread::sleep(delay);
         }
         attempt += 1;
-    }
-}
-
-/// A chat-completions client implementing [`LlmClient`] over one
-/// persistent connection.
-#[derive(Debug)]
-pub struct HttpClient {
-    cfg: HttpConfig,
-    transport: Transport,
-    governor: Arc<RateGovernor>,
-    requests_sent: usize,
-}
-
-impl HttpClient {
-    /// Builds a client, validating the base URL up front. Dispatch is
-    /// gated by the [process-wide governor](RateGovernor::global).
-    pub fn new(cfg: HttpConfig) -> Result<Self, HttpError> {
-        Self::with_governor(cfg, Arc::clone(RateGovernor::global()))
-    }
-
-    /// Builds a client gated by an explicit governor (tests inject a
-    /// private one so scripted 429s cannot pause unrelated clients).
-    pub fn with_governor(cfg: HttpConfig, governor: Arc<RateGovernor>) -> Result<Self, HttpError> {
-        let endpoint = Endpoint::parse(&cfg.base)?;
-        let transport = Transport::new(endpoint, cfg.timeout);
-        Ok(Self {
-            cfg,
-            transport,
-            governor,
-            requests_sent: 0,
-        })
-    }
-
-    /// Builds a client from the environment (see [`HttpConfig::from_env`]).
-    pub fn from_env(model: &str) -> Result<Self, HttpError> {
-        Self::new(HttpConfig::from_env(model)?)
-    }
-
-    /// Requests actually sent (includes retries).
-    pub fn requests_sent(&self) -> usize {
-        self.requests_sent
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HttpConfig {
-        &self.cfg
-    }
-
-    /// One generation, with retry/backoff. Every returned error has
-    /// already been redacted.
-    pub fn try_generate(&mut self, prompt: &Prompt) -> Result<Completion, HttpError> {
-        generate_over(
-            &mut self.transport,
-            &self.cfg,
-            &self.governor,
-            prompt,
-            None,
-            &mut self.requests_sent,
-        )
-    }
-}
-
-impl LlmClient for HttpClient {
-    fn model_name(&self) -> &str {
-        &self.cfg.model
-    }
-
-    fn generate(&mut self, prompt: &Prompt) -> Completion {
-        // The trait is infallible by design (mocks cannot fail); a hosted
-        // backend that exhausted its retries has nothing sensible to
-        // return, so it aborts the search loudly. The message was redacted
-        // inside `try_generate`.
-        self.try_generate(prompt)
-            .unwrap_or_else(|e| panic!("http LLM backend failed after retries: {e}"))
     }
 }
 
@@ -522,7 +448,10 @@ mod tests {
     fn debug_output_never_contains_the_key() {
         let mut cfg = HttpConfig::new("http://127.0.0.1:1/v1", "gpt-4");
         cfg.api_key = Some(ApiKey::new("sk-super-secret"));
-        let client = HttpClient::new(cfg).unwrap();
+        let endpoint = crate::http::Endpoint::parse(&cfg.base).unwrap();
+        let pool = Arc::new(crate::pool::ConnPool::new(endpoint, cfg.timeout, 1));
+        let client =
+            crate::pool::PooledClient::with_parts(cfg, pool, Arc::new(RateGovernor::new(None)));
         let dbg = format!("{client:?}");
         assert!(!dbg.contains("sk-super-secret"), "{dbg}");
     }

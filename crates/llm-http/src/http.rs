@@ -1,14 +1,10 @@
 //! A dependency-free HTTP/1.1 client over `std::net::TcpStream`.
 //!
 //! The build environment is offline (no `reqwest`/`hyper`), so this is the
-//! whole transport. Two shapes are offered:
-//!
-//! * [`post_json`] — one `POST` on a fresh connection
-//!   (`Connection: close`), the original one-shot path;
-//! * [`Transport`] — a persistent keep-alive connection that reads exactly
-//!   one response per request (incremental `Content-Length` and chunked
-//!   framing) and transparently reconnects once when a pooled connection
-//!   has gone stale between waves.
+//! whole transport: [`Transport`], a persistent keep-alive connection that
+//! reads exactly one response per request (incremental `Content-Length`
+//! and chunked framing) and transparently reconnects once when a pooled
+//! connection has gone stale between waves.
 //!
 //! Plain `http://` only — pointing the client at a TLS endpoint is a
 //! configuration error (run a local proxy or an http-speaking gateway
@@ -130,57 +126,13 @@ impl Endpoint {
     }
 }
 
-/// Sends one `POST` with a JSON body and reads the full response.
-/// `headers` are extra request headers (e.g. `Authorization`).
-pub fn post_json(
-    endpoint: &Endpoint,
-    path: &str,
-    headers: &[(String, String)],
-    body: &str,
-    timeout: Duration,
-) -> Result<Response, HttpError> {
-    let addr = format!("{}:{}", endpoint.host, endpoint.port);
-    let mut stream =
-        TcpStream::connect(&addr).map_err(|e| HttpError::Connect(format!("{addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-
-    let full_path = format!("{}{}", endpoint.base_path, path);
-    let mut req = format!(
-        "POST {full_path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n",
-        endpoint.host,
-        body.len()
-    );
-    for (k, v) in headers {
-        req.push_str(&format!("{k}: {v}\r\n"));
-    }
-    req.push_str("\r\n");
-    req.push_str(body);
-    stream
-        .write_all(req.as_bytes())
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    parse_response(&raw)
-}
-
 /// A persistent keep-alive HTTP/1.1 connection to one endpoint.
 ///
-/// Unlike [`post_json`] — which opens a fresh TCP connection, sends
-/// `Connection: close` and reads to EOF — a `Transport` keeps the socket
-/// open across requests and reads exactly one framed response per request
-/// (`Content-Length` or chunked). Connection pools hold one `Transport`
-/// per slot; connections are opened lazily on first use and re-opened
-/// transparently (once per request) when the server has closed an idle
-/// connection between waves.
+/// A `Transport` keeps the socket open across requests and reads exactly
+/// one framed response per request (`Content-Length` or chunked).
+/// Connection pools hold one `Transport` per slot; connections are opened
+/// lazily on first use and re-opened transparently (once per request) when
+/// the server has closed an idle connection between waves.
 #[derive(Debug)]
 pub struct Transport {
     endpoint: Endpoint,
@@ -422,7 +374,11 @@ fn read_chunked_body(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Ve
                 }
             }
         }
-        let chunk = take_exact(stream, pending, size + 2)?;
+        // A hostile size line must not overflow the CRLF arithmetic.
+        let framed = size
+            .checked_add(2)
+            .ok_or_else(|| HttpError::Malformed(format!("chunk size `{size_text}` overflows")))?;
+        let chunk = take_exact(stream, pending, framed)?;
         out.extend_from_slice(&chunk[..size]);
     }
 }
@@ -460,69 +416,8 @@ fn parse_head(raw: &[u8]) -> Result<(u16, Vec<(String, String)>), HttpError> {
     Ok((status, headers))
 }
 
-/// Parses a complete HTTP/1.1 response held in memory.
-fn parse_response(raw: &[u8]) -> Result<Response, HttpError> {
-    let header_end = find_header_end(raw)
-        .ok_or_else(|| HttpError::Malformed("no header/body separator".into()))?;
-    let (status, headers) = parse_head(&raw[..header_end])?;
-
-    let body_bytes = &raw[header_end + 4..];
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        decode_chunked(body_bytes)?
-    } else if let Some(len) = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if body_bytes.len() < len {
-            return Err(HttpError::Truncated {
-                expected: len,
-                got: body_bytes.len(),
-            });
-        }
-        body_bytes[..len].to_vec()
-    } else {
-        body_bytes.to_vec()
-    };
-    let body = String::from_utf8(body).map_err(|_| HttpError::Malformed("non-utf8 body".into()))?;
-    Ok(Response {
-        status,
-        headers,
-        body,
-    })
-}
-
 fn find_header_end(raw: &[u8]) -> Option<usize> {
     raw.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn decode_chunked(mut rest: &[u8]) -> Result<Vec<u8>, HttpError> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = rest
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| HttpError::Malformed("bad chunk header".into()))?;
-        let size_text = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| HttpError::Malformed("bad chunk size".into()))?;
-        let size = usize::from_str_radix(size_text.trim(), 16)
-            .map_err(|_| HttpError::Malformed(format!("bad chunk size `{size_text}`")))?;
-        rest = &rest[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if rest.len() < size + 2 {
-            return Err(HttpError::Truncated {
-                expected: size,
-                got: rest.len().saturating_sub(2),
-            });
-        }
-        out.extend_from_slice(&rest[..size]);
-        rest = &rest[size + 2..];
-    }
 }
 
 #[cfg(test)]
@@ -550,11 +445,29 @@ mod tests {
         assert!(Endpoint::parse("http://:80/v1").is_err());
     }
 
+    use std::net::TcpListener;
+
+    /// Serves `raw` as the response to one request on a fresh loopback
+    /// connection, closes it, and returns what a [`Transport`] made of it.
+    fn respond_with(raw: &'static [u8]) -> Result<Response, HttpError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            crate::server::read_request(&mut stream).expect("one request");
+            stream.write_all(raw).unwrap();
+        });
+        let endpoint = Endpoint::parse(&format!("http://127.0.0.1:{port}/v1")).unwrap();
+        let result = Transport::new(endpoint, Duration::from_secs(5)).post_json("/x", &[], "{}");
+        server.join().unwrap();
+        result
+    }
+
     #[test]
     fn parses_content_length_response() {
         let raw =
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 5\r\n\r\nhello";
-        let r = parse_response(raw).unwrap();
+        let r = respond_with(raw).unwrap();
         assert_eq!(r.status, 200);
         assert_eq!(r.body, "hello");
         assert_eq!(r.header("Content-Type"), Some("application/json"));
@@ -564,7 +477,7 @@ mod tests {
     fn truncated_bodies_are_detected() {
         let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\nshort";
         assert_eq!(
-            parse_response(raw),
+            respond_with(raw),
             Err(HttpError::Truncated {
                 expected: 50,
                 got: 5
@@ -574,17 +487,25 @@ mod tests {
 
     #[test]
     fn decodes_chunked_bodies() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n";
-        assert_eq!(parse_response(raw).unwrap().body, "hello world");
+        // Upper-case hex sizes and a trailer section are legal framing.
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    B\r\nhello world\r\n0\r\nX-Trailer: done\r\n\r\n";
+        assert_eq!(respond_with(raw).unwrap().body, "hello world");
+    }
+
+    #[test]
+    fn hostile_chunk_sizes_are_malformed() {
+        // `size + 2` for this size line would overflow `usize`.
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    ffffffffffffffff\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(respond_with(raw), Err(HttpError::Malformed(_))));
     }
 
     #[test]
     fn malformed_responses_error() {
-        assert!(parse_response(b"not http at all").is_err());
-        assert!(parse_response(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
+        assert!(respond_with(b"not http at all").is_err());
+        assert!(respond_with(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
     }
-
-    use std::net::TcpListener;
 
     fn ok_response(body: &str) -> String {
         format!(
@@ -664,28 +585,8 @@ mod tests {
 
     #[test]
     fn transport_reads_chunked_keepalive_responses() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let mut raw = Vec::new();
-            while find_header_end(&raw).is_none() {
-                let n = stream.read(&mut buf).unwrap();
-                if n == 0 {
-                    return;
-                }
-                raw.extend_from_slice(&buf[..n]);
-            }
-            stream
-                .write_all(
-                    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
-                      5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n",
-                )
-                .unwrap();
-        });
-        let endpoint = Endpoint::parse(&format!("http://127.0.0.1:{port}/v1")).unwrap();
-        let mut t = Transport::new(endpoint, Duration::from_secs(5));
-        assert_eq!(t.post_json("/x", &[], "{}").unwrap().body, "hello world");
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n";
+        assert_eq!(respond_with(raw).unwrap().body, "hello world");
     }
 }

@@ -6,16 +6,17 @@
 //!
 //! * [`json`] — a minimal hand-rolled JSON encoder/decoder covering the
 //!   chat-completions wire format;
-//! * [`http`] — an HTTP/1.1 client over `std::net::TcpStream`
-//!   (`Content-Length` and chunked bodies, timeouts, `http://` only),
-//!   both one-shot and persistent keep-alive ([`Transport`]);
-//! * [`client::HttpClient`] — the OpenAI-style chat-completions adapter
-//!   implementing [`nada_llm::LlmClient`], with retry/backoff (capped
-//!   exponent, clamped delay), token-usage accounting, and the API key
-//!   sourced from `NADA_API_KEY` alone;
+//! * [`http`] — a persistent keep-alive HTTP/1.1 connection over
+//!   `std::net::TcpStream` ([`Transport`]: `Content-Length` and chunked
+//!   bodies, timeouts, `http://` only);
+//! * [`client`] — the OpenAI-style chat-completions request engine and
+//!   its [`HttpConfig`], with retry/backoff (capped exponent, clamped
+//!   delay), token-usage accounting, and the API key sourced from
+//!   `NADA_API_KEY` alone;
 //! * [`pool`] — [`ConnPool`] (N persistent connections, shared
-//!   process-wide per endpoint) and [`PooledClient`] (fans
-//!   `generate_wave` across the pool in submission-order slots);
+//!   process-wide per endpoint) and [`PooledClient`], the
+//!   [`nada_llm::LlmClient`] that fans `generate_wave` across the pool in
+//!   submission-order slots (one connection: every request on the caller);
 //! * [`governor`] — the process-wide [`RateGovernor`]: one 429 anywhere
 //!   pauses every connection, with an optional `NADA_LLM_RPS` token
 //!   bucket for proactive pacing;
@@ -39,7 +40,7 @@ pub mod pool;
 pub mod redact;
 pub mod server;
 
-pub use client::{HttpClient, HttpConfig, API_BASE_ENV, API_KEY_ENV, MAX_BACKOFF, SLOT_HEADER};
+pub use client::{HttpConfig, API_BASE_ENV, API_KEY_ENV, MAX_BACKOFF, SLOT_HEADER};
 pub use governor::{RateGovernor, RPS_ENV};
 pub use http::{Endpoint, HttpError, Response, Transport};
 pub use json::{Json, JsonError};

@@ -1,14 +1,15 @@
 //! The connection pool and the pooled chat-completions client.
 //!
 //! A [`ConnPool`] holds N persistent keep-alive [`Transport`]s to one
-//! endpoint; a [`PooledClient`] implements [`LlmClient`] on top of it,
-//! reporting `wave_size() == N` and fanning each wave across the
-//! connections with `nada_llm::ParallelGen` — completions land in
-//! submission-order slots, so pooled results are order-stable no matter
-//! how the backend interleaves its responses. Every connection runs the
-//! same request engine as the serial client (retry, redaction, token
-//! accounting) and consults the same [`RateGovernor`], so one 429 pauses
-//! the whole pool.
+//! endpoint and a [`WorkPool`] of the same width; a [`PooledClient`]
+//! implements [`LlmClient`] on top of it, reporting `wave_size() == N` and
+//! fanning each wave across the connections on that work pool —
+//! completions land in submission-order slots, so pooled results are
+//! order-stable no matter how the backend interleaves its responses.
+//! Every request runs the same engine (`generate_over`: retry, redaction,
+//! token accounting) and consults the same [`RateGovernor`], so one 429
+//! pauses the whole pool. A width-1 pool spawns no thread: each request
+//! runs on the caller.
 //!
 //! Pools are shared process-wide per endpoint ([`ConnPool::shared`]):
 //! daemon lanes that resolve the same base URL reuse one set of sockets
@@ -20,7 +21,8 @@
 use crate::client::{generate_over, HttpConfig};
 use crate::governor::RateGovernor;
 use crate::http::{Endpoint, HttpError, Transport};
-use nada_llm::{Completion, LlmClient, ParallelGen, Prompt, WaveWorker};
+use nada_exec::WorkPool;
+use nada_llm::{Completion, LlmClient, Prompt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -42,16 +44,18 @@ pub fn configured_conns() -> usize {
 
 /// N persistent keep-alive connections to one endpoint. Each slot is a
 /// [`Transport`] behind its own lock, so N requests proceed in parallel
-/// while a single wave worker drives each connection at a time.
+/// on the pool's N-wide [`WorkPool`] while one request at a time drives
+/// each connection.
 #[derive(Debug)]
 pub struct ConnPool {
     endpoint: Endpoint,
     slots: Vec<Mutex<Transport>>,
+    workers: WorkPool,
 }
 
 impl ConnPool {
     /// A private pool of `conns` connections (connections open lazily on
-    /// first use).
+    /// first use) and a work pool as wide, which keeps `conns - 1` threads.
     pub fn new(endpoint: Endpoint, timeout: Duration, conns: usize) -> Self {
         let conns = conns.max(1);
         Self {
@@ -59,6 +63,7 @@ impl ConnPool {
                 .map(|_| Mutex::new(Transport::new(endpoint.clone(), timeout)))
                 .collect(),
             endpoint,
+            workers: WorkPool::new(conns),
         }
     }
 
@@ -95,36 +100,6 @@ impl ConnPool {
             .iter()
             .map(|s| s.lock().expect("conn slot lock").reuse_count())
             .sum()
-    }
-}
-
-/// One wave worker: drives one pool slot's connection through the shared
-/// request engine.
-struct PoolWorker<'a> {
-    pool: &'a ConnPool,
-    conn: usize,
-    cfg: &'a HttpConfig,
-    governor: &'a RateGovernor,
-    requests_sent: &'a AtomicUsize,
-}
-
-impl WaveWorker for PoolWorker<'_> {
-    fn generate(&mut self, prompt: &Prompt, slot: usize) -> Completion {
-        let mut transport = self.pool.slots[self.conn].lock().expect("conn slot lock");
-        let mut sent = 0usize;
-        let result = generate_over(
-            &mut transport,
-            self.cfg,
-            self.governor,
-            prompt,
-            Some(slot),
-            &mut sent,
-        );
-        self.requests_sent.fetch_add(sent, Ordering::Relaxed);
-        // Same contract as the serial client: the trait is infallible, so
-        // an exhausted backend aborts the search loudly (the panic crosses
-        // the wave scope back to the caller). Already redacted.
-        result.unwrap_or_else(|e| panic!("http LLM backend failed after retries: {e}"))
     }
 }
 
@@ -179,22 +154,43 @@ impl PooledClient {
         &self.pool
     }
 
-    /// One generation with a `Result` surface (wave dispatch goes through
-    /// the infallible trait; see [`PooledClient::generate_wave`]).
+    /// One generation, with retry/backoff, on the first connection. Every
+    /// returned error has already been redacted (wave dispatch goes
+    /// through the infallible trait; see [`PooledClient::generate_wave`]).
     pub fn try_generate(&mut self, prompt: &Prompt) -> Result<Completion, HttpError> {
-        let mut transport = self.pool.slots[0].lock().expect("conn slot lock");
+        self.generate_on(0, prompt, None)
+    }
+
+    /// One generation over connection `conn`; `slot` is the request's
+    /// wave submission index, when it has one.
+    fn generate_on(
+        &self,
+        conn: usize,
+        prompt: &Prompt,
+        slot: Option<usize>,
+    ) -> Result<Completion, HttpError> {
         let mut sent = 0usize;
-        let result = generate_over(
-            &mut transport,
-            &self.cfg,
-            &self.governor,
-            prompt,
-            None,
-            &mut sent,
-        );
+        let result = {
+            let mut transport = self.pool.slots[conn].lock().expect("conn slot lock");
+            generate_over(
+                &mut transport,
+                &self.cfg,
+                &self.governor,
+                prompt,
+                slot,
+                &mut sent,
+            )
+        };
         self.requests_sent.fetch_add(sent, Ordering::Relaxed);
         result
     }
+}
+
+/// The trait is infallible by design (mocks cannot fail); a hosted backend
+/// that exhausted its retries has nothing sensible to return, so it
+/// aborts the search loudly. The error was redacted by `generate_over`.
+fn expect_completion(result: Result<Completion, HttpError>) -> Completion {
+    result.unwrap_or_else(|e| panic!("http LLM backend failed after retries: {e}"))
 }
 
 impl LlmClient for PooledClient {
@@ -203,25 +199,21 @@ impl LlmClient for PooledClient {
     }
 
     fn generate(&mut self, prompt: &Prompt) -> Completion {
-        self.try_generate(prompt)
-            .unwrap_or_else(|e| panic!("http LLM backend failed after retries: {e}"))
+        expect_completion(self.try_generate(prompt))
     }
 
     fn wave_size(&self) -> usize {
         self.pool.size()
     }
 
+    /// Slot `i` of the wave runs on connection `i % width`; a failed slot
+    /// panics, and the panic reaches the caller once the whole wave is
+    /// accounted for.
     fn generate_wave(&mut self, prompt: &Prompt, count: usize) -> Vec<Completion> {
-        let mut workers: Vec<PoolWorker> = (0..self.pool.size().min(count.max(1)))
-            .map(|conn| PoolWorker {
-                pool: &self.pool,
-                conn,
-                cfg: &self.cfg,
-                governor: &self.governor,
-                requests_sent: &self.requests_sent,
-            })
-            .collect();
-        ParallelGen::dispatch(&mut workers, prompt, count)
+        let width = self.pool.size();
+        self.pool.workers.map_indexed(count, |slot| {
+            expect_completion(self.generate_on(slot % width, prompt, Some(slot)))
+        })
     }
 }
 

@@ -11,8 +11,7 @@
 //!   gate a wave (prove requests overlap), release responses in reverse
 //!   arrival order (prove submission-order delivery), and inject 429s
 //!   (prove the shared governor throttles everyone). It also backs the
-//!   fixed-latency serial-vs-pooled comparison in `bench_snapshot` and
-//!   the `llm_stub` CI end-to-end fixture.
+//!   `llm_stub` CI end-to-end fixture.
 
 use crate::json::Json;
 use std::io::{Read, Write};
@@ -98,7 +97,7 @@ impl TestServer {
     }
 }
 
-fn read_request(stream: &mut std::net::TcpStream) -> Option<Received> {
+pub(crate) fn read_request(stream: &mut std::net::TcpStream) -> Option<Received> {
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     let header_end = loop {

@@ -2,8 +2,8 @@
 
 use nada_llm::{LlmClient, Prompt};
 use nada_llm_http::{
-    ApiKey, ConnPool, Endpoint, HttpClient, HttpConfig, HttpError, PoolBehavior, PoolServer,
-    PooledClient, RateGovernor, Scripted, TestServer, REDACTED,
+    ApiKey, ConnPool, Endpoint, HttpConfig, HttpError, PoolBehavior, PoolServer, PooledClient,
+    RateGovernor, Scripted, TestServer, REDACTED,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,12 +22,20 @@ fn fenced(code: &str) -> String {
     format!("Here is an idea: smooth the features.\n```\n{code}\n```\n")
 }
 
+/// A pooled client of width `conns` over a *private* pool and governor,
+/// so scripted 429s cannot pause other tests' dispatch.
+fn pooled(cfg: HttpConfig, conns: usize) -> PooledClient {
+    let endpoint = Endpoint::parse(&cfg.base).unwrap();
+    let pool = Arc::new(ConnPool::new(endpoint, cfg.timeout, conns));
+    PooledClient::with_parts(cfg, pool, Arc::new(RateGovernor::new(None)))
+}
+
 #[test]
 fn happy_path_round_trips_a_completion() {
     let server = TestServer::start(vec![Scripted::Completion(fenced(CODE))]);
     let mut cfg = fast_cfg(server.base());
     cfg.api_key = Some(ApiKey::new("sk-test-key-123"));
-    let mut client = HttpClient::new(cfg).unwrap();
+    let mut client = pooled(cfg, 1);
     let completion = client.generate(&Prompt::state(CODE));
     assert_eq!(completion.code, format!("{CODE}\n"));
     assert_eq!(
@@ -66,7 +74,7 @@ fn server_errors_are_retried_until_success() {
         Scripted::Status(503, "overloaded".into()),
         Scripted::Completion(fenced(CODE)),
     ]);
-    let mut client = HttpClient::new(fast_cfg(server.base())).unwrap();
+    let mut client = pooled(fast_cfg(server.base()), 1);
     let completion = client.try_generate(&Prompt::state(CODE)).unwrap();
     assert_eq!(completion.code, format!("{CODE}\n"));
     assert_eq!(client.requests_sent(), 3);
@@ -80,7 +88,7 @@ fn server_errors_are_retried_until_success() {
 fn persistent_server_errors_surface_the_status() {
     let script = vec![Scripted::Status(500, "down".into()); 4];
     let server = TestServer::start(script);
-    let mut client = HttpClient::new(fast_cfg(server.base())).unwrap();
+    let mut client = pooled(fast_cfg(server.base()), 1);
     let err = client.try_generate(&Prompt::state(CODE)).unwrap_err();
     assert!(matches!(err, HttpError::Status { code: 500, .. }), "{err}");
     // First attempt + max_retries.
@@ -96,7 +104,7 @@ fn truncated_bodies_are_retried() {
     let mut cfg = fast_cfg(server.base());
     // The truncated connection closes early, so detection is immediate.
     cfg.timeout = Duration::from_secs(2);
-    let mut client = HttpClient::new(cfg).unwrap();
+    let mut client = pooled(cfg, 1);
     let completion = client.try_generate(&Prompt::state(CODE)).unwrap();
     assert_eq!(completion.code, format!("{CODE}\n"));
     assert_eq!(client.requests_sent(), 2);
@@ -109,7 +117,7 @@ fn rate_limits_back_off_and_recover() {
         Scripted::RateLimited(0),
         Scripted::Completion(fenced(CODE)),
     ]);
-    let mut client = HttpClient::new(fast_cfg(server.base())).unwrap();
+    let mut client = pooled(fast_cfg(server.base()), 1);
     let completion = client.try_generate(&Prompt::state(CODE)).unwrap();
     assert_eq!(completion.code, format!("{CODE}\n"));
     assert_eq!(client.requests_sent(), 3);
@@ -121,7 +129,7 @@ fn client_errors_fail_fast_without_retries() {
         401,
         r#"{"error":{"message":"bad key"}}"#.into(),
     )]);
-    let mut client = HttpClient::new(fast_cfg(server.base())).unwrap();
+    let mut client = pooled(fast_cfg(server.base()), 1);
     let err = client.try_generate(&Prompt::state(CODE)).unwrap_err();
     assert!(matches!(err, HttpError::Status { code: 401, .. }), "{err}");
     assert_eq!(client.requests_sent(), 1);
@@ -138,7 +146,7 @@ fn error_bodies_echoing_the_key_are_redacted() {
     )]);
     let mut cfg = fast_cfg(server.base());
     cfg.api_key = Some(ApiKey::new(key));
-    let mut client = HttpClient::new(cfg).unwrap();
+    let mut client = pooled(cfg, 1);
     let err = client.try_generate(&Prompt::state(CODE)).unwrap_err();
     let msg = err.to_string();
     assert!(!msg.contains(key), "leaked: {msg}");
@@ -158,7 +166,7 @@ fn keys_straddling_the_snippet_cut_are_still_redacted() {
     )]);
     let mut cfg = fast_cfg(server.base());
     cfg.api_key = Some(ApiKey::new(key));
-    let mut client = HttpClient::new(cfg).unwrap();
+    let mut client = pooled(cfg, 1);
     let msg = client
         .try_generate(&Prompt::state(CODE))
         .unwrap_err()
@@ -172,7 +180,7 @@ fn generate_batch_while_caps_requests_at_the_source() {
         Scripted::Completion(fenced(CODE)),
         Scripted::Completion(fenced(CODE)),
     ]);
-    let mut client = HttpClient::new(fast_cfg(server.base())).unwrap();
+    let mut client = pooled(fast_cfg(server.base()), 1);
     let out = client.generate_batch_while(&Prompt::state(CODE), 10, &mut |made| made < 2);
     assert_eq!(out.len(), 2);
     // Only the budgeted completions were ever requested over the wire.
@@ -184,22 +192,13 @@ fn unreachable_endpoints_error_after_retries() {
     // Port 1 on loopback: nothing listens there.
     let mut cfg = fast_cfg("http://127.0.0.1:1/v1".to_string());
     cfg.max_retries = 1;
-    let mut client = HttpClient::new(cfg).unwrap();
+    let mut client = pooled(cfg, 1);
     let err = client.try_generate(&Prompt::state(CODE)).unwrap_err();
     assert!(matches!(err, HttpError::Connect(_)), "{err}");
     assert_eq!(client.requests_sent(), 2);
 }
 
-// ---- pooled client against the concurrent keep-alive server ----------
-
-/// A pooled client of width `conns` over a *private* pool and governor,
-/// so scripted 429s cannot pause other tests' dispatch.
-fn pooled(server_base: String, conns: usize) -> PooledClient {
-    let cfg = fast_cfg(server_base.clone());
-    let endpoint = Endpoint::parse(&server_base).unwrap();
-    let pool = Arc::new(ConnPool::new(endpoint, cfg.timeout, conns));
-    PooledClient::with_parts(cfg, pool, Arc::new(RateGovernor::new(None)))
-}
+// ---- wider pools against the concurrent keep-alive server -------------
 
 #[test]
 fn pooled_waves_put_multiple_requests_in_flight() {
@@ -211,7 +210,7 @@ fn pooled_waves_put_multiple_requests_in_flight() {
         gate: Some(2),
         ..PoolBehavior::default()
     });
-    let mut client = pooled(server.base(), 2);
+    let mut client = pooled(fast_cfg(server.base()), 2);
     assert_eq!(client.wave_size(), 2);
     let start = Instant::now();
     let out = client.generate_wave(&Prompt::state(CODE), 2);
@@ -235,7 +234,7 @@ fn out_of_order_completions_land_in_submission_order() {
         reverse_release: true,
         ..PoolBehavior::default()
     });
-    let mut client = pooled(server.base(), 4);
+    let mut client = pooled(fast_cfg(server.base()), 4);
     let out = client.generate_wave(&Prompt::state(CODE), 4);
     let codes: Vec<&str> = out.iter().map(|c| c.code.as_str()).collect();
     assert_eq!(codes, vec!["slot 0\n", "slot 1\n", "slot 2\n", "slot 3\n"]);
@@ -261,7 +260,7 @@ fn one_rate_limit_throttles_every_connection() {
         retry_after: 1,
         ..PoolBehavior::default()
     });
-    let mut client = pooled(server.base(), 4);
+    let mut client = pooled(fast_cfg(server.base()), 4);
     let out = client.generate_batch(&Prompt::state(CODE), 8);
     assert_eq!(out.len(), 8);
     // Slots are per-wave (two waves of 4), and the retry keeps its slot.
@@ -303,7 +302,7 @@ fn pooled_batches_reuse_their_connections_across_waves() {
         usage: Some((100, 20)),
         ..PoolBehavior::default()
     });
-    let mut client = pooled(server.base(), 2);
+    let mut client = pooled(fast_cfg(server.base()), 2);
     let before = nada_llm::global_token_meter().snapshot();
     let out = client.generate_batch(&Prompt::state(CODE), 6);
     assert_eq!(out.len(), 6);

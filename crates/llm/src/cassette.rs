@@ -1,7 +1,7 @@
 //! On-disk cassettes: the durable form of a recorded LLM exchange.
 //!
-//! A [`Cassette`] promotes the in-memory [`crate::replay::Transcript`] to
-//! a persistent, *verifiable* format: every entry carries
+//! A [`Cassette`] is the persistent, *verifiable* record/replay format:
+//! every entry carries
 //!
 //! * a **lane** — which search within a harness run produced it (e.g.
 //!   `state/fcc/gpt-4`), so one cassette file can serve a whole

@@ -18,7 +18,7 @@
 //!   at per-model rates calibrated to Table 2;
 //! * [`profile::ModelProfile`] — those calibrated rates for "GPT-3.5" and
 //!   "GPT-4";
-//! * [`replay`] — record/replay clients so real transcripts can be swapped
+//! * [`replay`] — record/replay clients so real recordings can be swapped
 //!   in deterministically;
 //! * [`cassette`] — the on-disk, prompt-fingerprinted recording format
 //!   those clients persist through the serde-shim text codec (the
@@ -27,7 +27,6 @@
 pub mod cassette;
 pub mod client;
 pub mod mock;
-pub mod parallel;
 pub mod profile;
 pub mod prompt;
 pub mod replay;
@@ -35,7 +34,6 @@ pub mod replay;
 pub use cassette::{prompt_fingerprint, Cassette, CassetteEntry, CassetteError};
 pub use client::{global_token_meter, Completion, DesignKind, LlmClient, TokenMeter, TokenUsage};
 pub use mock::MockLlm;
-pub use parallel::{ParallelGen, WaveWorker};
 pub use profile::ModelProfile;
 pub use prompt::{FeedbackContext, FeedbackWinner, Prompt, PromptOptions, TaskContext};
-pub use replay::{RecordingClient, ReplayClient, Transcript};
+pub use replay::{RecordingClient, ReplayClient};

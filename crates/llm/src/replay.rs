@@ -2,145 +2,36 @@
 //!
 //! A [`RecordingClient`] wraps any [`LlmClient`] and captures its
 //! completions — prompt-fingerprinted — into a [`Cassette`]; a
-//! [`ReplayClient`] plays a cassette (or a legacy in-memory
-//! [`Transcript`]) back. This keeps the expensive/generative part
-//! swappable: a cassette recorded against a hosted GPT endpoint drives
-//! the whole pipeline deterministically offline, and the fingerprints
-//! guarantee the replayed completions answer the *same prompts* the
-//! original run asked.
+//! [`ReplayClient`] plays a cassette back. This keeps the
+//! expensive/generative part swappable: a cassette recorded against a
+//! hosted GPT endpoint drives the whole pipeline deterministically
+//! offline, and the fingerprints guarantee the replayed completions
+//! answer the *same prompts* the original run asked.
 
 use crate::cassette::{prompt_fingerprint, Cassette, CassetteEntry, CassetteError};
 use crate::client::{Completion, LlmClient};
 use crate::prompt::Prompt;
 use std::path::{Path, PathBuf};
 
-/// A recorded sequence of completions (legacy in-memory form; the durable,
-/// fingerprinted form is [`Cassette`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Transcript {
-    entries: Vec<Completion>,
-}
-
-impl Transcript {
-    /// An empty transcript.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a completion.
-    pub fn push(&mut self, completion: Completion) {
-        self.entries.push(completion);
-    }
-
-    /// Recorded completions in order.
-    pub fn entries(&self) -> &[Completion] {
-        &self.entries
-    }
-
-    /// Number of recorded completions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serializes to a plain-text interchange format (code blocks separated
-    /// by `%%%%` lines; reasoning lines prefixed with `;; `).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            if let Some(r) = &e.reasoning {
-                for line in r.lines() {
-                    out.push_str(";; ");
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-            out.push_str(&e.code);
-            if !e.code.ends_with('\n') {
-                out.push('\n');
-            }
-            out.push_str("%%%%\n");
-        }
-        out
-    }
-
-    /// Parses the [`Transcript::to_text`] format.
-    pub fn from_text(text: &str) -> Self {
-        let mut entries = Vec::new();
-        for block in text.split("%%%%\n") {
-            if block.trim().is_empty() {
-                continue;
-            }
-            let mut reasoning_lines = Vec::new();
-            let mut code_lines = Vec::new();
-            for line in block.lines() {
-                if let Some(r) = line.strip_prefix(";; ") {
-                    reasoning_lines.push(r.to_string());
-                } else {
-                    code_lines.push(line);
-                }
-            }
-            entries.push(Completion {
-                code: code_lines.join("\n") + "\n",
-                reasoning: if reasoning_lines.is_empty() {
-                    None
-                } else {
-                    Some(reasoning_lines.join("\n"))
-                },
-            });
-        }
-        Self { entries }
-    }
-}
-
-/// Replays recorded completions.
-///
-/// Two modes:
-///
-/// * **Cassette** ([`ReplayClient::from_cassette`] /
-///   [`ReplayClient::from_file`]): sequential and *verified* — every
-///   [`generate`](LlmClient::generate) checks the recorded prompt
-///   fingerprint against the live prompt and panics with a diagnostic on
-///   mismatch or exhaustion, so a cassette recorded for a different
-///   workload/seed/round can never silently feed wrong completions into a
-///   search.
-/// * **Transcript** ([`ReplayClient::new`]): the legacy in-memory mode —
-///   unverified, cycling when exhausted.
+/// Replays one `(lane, round)` slice of a cassette
+/// ([`ReplayClient::from_cassette`] / [`ReplayClient::from_file`]),
+/// sequentially and *verified*: every [`generate`](LlmClient::generate)
+/// checks the recorded prompt fingerprint against the live prompt and
+/// panics with a diagnostic on mismatch or exhaustion, so a cassette
+/// recorded for a different workload/seed/round can never silently feed
+/// wrong completions into a search.
 #[derive(Debug, Clone)]
 pub struct ReplayClient {
     name: String,
-    /// `(expected fingerprint, completion)`; fingerprints are `None` in
-    /// legacy transcript mode.
-    entries: Vec<(Option<u64>, Completion)>,
+    /// `(expected fingerprint, completion)`.
+    entries: Vec<(u64, Completion)>,
     cursor: usize,
-    /// Cassette mode: sequential + fingerprint-checked (no cycling).
-    strict: bool,
     /// Which cassette slice this client plays, for diagnostics.
     lane: String,
     round: u64,
 }
 
 impl ReplayClient {
-    /// Creates a legacy transcript replay (cycling, unverified).
-    ///
-    /// # Panics
-    /// Panics on an empty transcript — there is nothing to replay.
-    pub fn new(name: impl Into<String>, transcript: Transcript) -> Self {
-        assert!(!transcript.is_empty(), "cannot replay an empty transcript");
-        Self {
-            name: name.into(),
-            entries: transcript.entries.into_iter().map(|c| (None, c)).collect(),
-            cursor: 0,
-            strict: false,
-            lane: String::new(),
-            round: 0,
-        }
-    }
-
     /// Creates a verified replay of one `(lane, round)` slice of a
     /// cassette. Errors when the cassette holds no entries for that slice
     /// (naming the slices it *does* hold).
@@ -149,13 +40,13 @@ impl ReplayClient {
         lane: &str,
         round: u64,
     ) -> Result<Self, CassetteError> {
-        let entries: Vec<(Option<u64>, Completion)> = cassette
+        let entries: Vec<(u64, Completion)> = cassette
             .entries
             .iter()
             .filter(|e| e.lane == lane && e.round == round)
             .map(|e| {
                 (
-                    Some(e.fingerprint),
+                    e.fingerprint,
                     Completion {
                         code: e.code.clone(),
                         reasoning: e.reasoning.clone(),
@@ -188,7 +79,6 @@ impl ReplayClient {
             name,
             entries,
             cursor: 0,
-            strict: true,
             lane: lane.to_string(),
             round,
         })
@@ -206,7 +96,7 @@ impl ReplayClient {
         Self::from_cassette(cassette.as_ref(), lane, round)
     }
 
-    /// Completions remaining before this (strict) replay is exhausted.
+    /// Completions remaining before this replay is exhausted.
     pub fn remaining(&self) -> usize {
         self.entries.len().saturating_sub(self.cursor)
     }
@@ -218,36 +108,30 @@ impl LlmClient for ReplayClient {
     }
 
     fn generate(&mut self, prompt: &Prompt) -> Completion {
-        if self.strict {
-            assert!(
-                self.cursor < self.entries.len(),
-                "cassette exhausted: lane `{}` round {} holds {} completions but a {}th \
-                 was requested — was the cassette recorded at a smaller scale or with a \
-                 tighter budget?",
-                self.lane,
-                self.round,
-                self.entries.len(),
-                self.cursor + 1,
-            );
-            let (expected, completion) = &self.entries[self.cursor];
-            let live = prompt_fingerprint(prompt);
-            let expected = expected.expect("strict entries carry fingerprints");
-            assert!(
-                expected == live,
-                "cassette prompt mismatch at lane `{}` round {} entry {}: recorded \
-                 fingerprint {expected:#x}, live prompt is {live:#x} — the cassette was \
-                 recorded against a different workload, seed code, prompt options or \
-                 feedback context than this search is running",
-                self.lane,
-                self.round,
-                self.cursor,
-            );
-            self.cursor += 1;
-            return completion.clone();
-        }
-        let c = self.entries[self.cursor % self.entries.len()].1.clone();
+        assert!(
+            self.cursor < self.entries.len(),
+            "cassette exhausted: lane `{}` round {} holds {} completions but a {}th \
+             was requested — was the cassette recorded at a smaller scale or with a \
+             tighter budget?",
+            self.lane,
+            self.round,
+            self.entries.len(),
+            self.cursor + 1,
+        );
+        let (expected, completion) = &self.entries[self.cursor];
+        let live = prompt_fingerprint(prompt);
+        assert!(
+            *expected == live,
+            "cassette prompt mismatch at lane `{}` round {} entry {}: recorded \
+             fingerprint {expected:#x}, live prompt is {live:#x} — the cassette was \
+             recorded against a different workload, seed code, prompt options or \
+             feedback context than this search is running",
+            self.lane,
+            self.round,
+            self.cursor,
+        );
         self.cursor += 1;
-        c
+        completion.clone()
     }
 }
 
@@ -383,18 +267,6 @@ impl<C: LlmClient> RecordingClient<C> {
             reasoning: c.reasoning.clone(),
         });
     }
-
-    /// Stops recording and returns the legacy in-memory transcript form.
-    pub fn into_transcript(self) -> Transcript {
-        let mut t = Transcript::new();
-        for e in &self.into_cassette().entries {
-            t.push(Completion {
-                code: e.code.clone(),
-                reasoning: e.reasoning.clone(),
-            });
-        }
-        t
-    }
 }
 
 impl<C: LlmClient> Drop for RecordingClient<C> {
@@ -448,17 +320,6 @@ mod tests {
     use super::*;
     use crate::mock::MockLlm;
     use nada_dsl::seeds::PENSIEVE_STATE_SOURCE;
-
-    #[test]
-    fn record_then_replay_round_trips() {
-        let prompt = Prompt::state(PENSIEVE_STATE_SOURCE);
-        let mut rec = RecordingClient::new(MockLlm::perfect(1));
-        let originals: Vec<Completion> = (0..5).map(|_| rec.generate(&prompt)).collect();
-        let mut replay = ReplayClient::new("replay", rec.into_transcript());
-        for orig in &originals {
-            assert_eq!(&replay.generate(&prompt), orig);
-        }
-    }
 
     #[test]
     fn record_then_replay_through_a_cassette_verifies_prompts() {
@@ -660,44 +521,5 @@ mod tests {
             2
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn replay_cycles_when_exhausted() {
-        let mut t = Transcript::new();
-        t.push(Completion {
-            code: "a\n".into(),
-            reasoning: None,
-        });
-        t.push(Completion {
-            code: "b\n".into(),
-            reasoning: None,
-        });
-        let prompt = Prompt::state("x");
-        let mut r = ReplayClient::new("r", t);
-        assert_eq!(r.generate(&prompt).code, "a\n");
-        assert_eq!(r.generate(&prompt).code, "b\n");
-        assert_eq!(r.generate(&prompt).code, "a\n");
-    }
-
-    #[test]
-    fn transcript_text_round_trips() {
-        let mut t = Transcript::new();
-        t.push(Completion {
-            code: "state s { feature f = 1.0; }\n".into(),
-            reasoning: Some("idea one\nidea two".into()),
-        });
-        t.push(Completion {
-            code: "network n { }\n".into(),
-            reasoning: None,
-        });
-        let text = t.to_text();
-        assert_eq!(Transcript::from_text(&text), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty transcript")]
-    fn replay_rejects_empty() {
-        let _ = ReplayClient::new("r", Transcript::new());
     }
 }

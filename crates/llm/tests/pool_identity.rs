@@ -84,8 +84,8 @@ fn replay_batches_are_bit_identical_to_the_serial_path() {
 /// A deterministic client that pretends to be pooled: `wave_size()` > 1,
 /// and waves *reverse* their completion order internally before the
 /// dispatcher's submission-order contract puts them back — here we just
-/// produce them in submission order, like `ParallelGen` guarantees, from
-/// a sequential counter.
+/// produce them in submission order, as the pooled HTTP client's work
+/// pool guarantees, from a sequential counter.
 struct WavedCounter {
     conns: usize,
     generated: usize,

@@ -9,10 +9,10 @@
 //! connectivity oscillates between good Wi-Fi and near-outage dead zones —
 //! from raw cooked-trace text, then lets NADA customize the ABR state for
 //! it. It also shows the record/replay client: the second search consumes
-//! the first search's transcript without touching the generator.
+//! the first search's cassette without touching the generator.
 
 use nada::core::{Nada, NadaConfig, RunScale};
-use nada::llm::{LlmClient, MockLlm, Prompt, RecordingClient, ReplayClient};
+use nada::llm::{DesignKind, LlmClient, MockLlm, RecordingClient, ReplayClient};
 use nada::traces::dataset::{DatasetKind, TraceDataset};
 use nada::traces::io::cooked::{read_cooked, write_cooked};
 use nada::traces::{Trace, TracePoint};
@@ -63,13 +63,15 @@ fn main() {
     );
 
     // Replay the exact same candidate stream (e.g. to re-rank offline).
-    let transcript = recorder.into_transcript();
+    // Replay is verified against the prompt the search sent.
+    let cassette = recorder.into_cassette();
     println!(
         "recorded {} completions; replaying the first one:",
-        transcript.len()
+        cassette.len()
     );
-    let mut replay = ReplayClient::new("replay", transcript);
-    let again = replay.generate(&Prompt::state(nada::dsl::seeds::PENSIEVE_STATE_SOURCE));
+    let mut replay =
+        ReplayClient::from_cassette(&cassette, "default", 0).expect("the search recorded");
+    let again = replay.generate(&nada.prompt_for(DesignKind::State));
     println!(
         "{}",
         again.code.lines().take(3).collect::<Vec<_>>().join("\n")

@@ -10,7 +10,7 @@
 //! action: how many unpromising designs would have been stopped, and
 //! whether any top design would have been lost.
 
-use nada::core::pipeline::parallel_map;
+use nada::core::pipeline::pool_map;
 use nada::core::score::smoothed_score;
 use nada::core::{train_design, CompiledDesign, Nada, NadaConfig, RunScale, TrainRunConfig};
 use nada::dsl::seeds;
@@ -51,7 +51,7 @@ fn main() {
     let dataset = nada.dataset();
     let workload = nada.workload();
     let results: Vec<Option<(String, nada::core::TrainOutcome)>> =
-        parallel_map(accepted, &|(cand, design)| {
+        pool_map(accepted, &|(cand, design)| {
             let CompiledDesign::State(state) = design else {
                 return None;
             };

@@ -24,7 +24,7 @@
 //! | [`llm`] | `LlmClient` trait, workload-parameterized §2.1 prompts, Table 2-calibrated `MockLlm`, on-disk cassettes |
 //! | [`llm_http`] | dependency-free HTTP/1.1 chat-completions backend + loopback test server |
 //! | [`earlystop`] | §2.2/§3.4 early-stopping classifiers |
-//! | [`exec`] | deterministic order-preserving parallel map |
+//! | [`exec`] | the order-preserving work pool every fan-out runs on (`WorkPool`, `pool_map`) |
 //! | [`obs`] | process-wide telemetry: atomic counters/gauges/histograms, span timers, Prometheus-style exposition |
 //! | [`core`] | the NADA pipeline: `Workload` trait, generate → filter → train → rank |
 //! | [`serve`] | multi-tenant search daemon: wire protocol, job scheduler, spool, cross-tenant score cache |

@@ -7,9 +7,12 @@
 
 use nada::core::{CollectingObserver, Nada, NadaConfig, RunScale, SearchDriver, SearchSession};
 use nada::llm::{DesignKind, LlmClient, RecordingClient};
-use nada::llm_http::{ApiKey, HttpClient, HttpConfig, Scripted, TestServer};
+use nada::llm_http::{
+    ApiKey, ConnPool, Endpoint, HttpConfig, PooledClient, RateGovernor, Scripted, TestServer,
+};
 use nada::traces::dataset::DatasetKind;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 const KEY: &str = "sk-nada-test-key-8f3a2b";
@@ -23,12 +26,15 @@ fn scratch_file(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn http_client(base: String) -> HttpClient {
+/// A one-connection client over a private pool and governor.
+fn http_client(base: String) -> PooledClient {
     let mut cfg = HttpConfig::new(base, "gpt-4-loopback");
     cfg.api_key = Some(ApiKey::new(KEY));
     cfg.backoff = Duration::from_millis(1);
     cfg.timeout = Duration::from_secs(5);
-    HttpClient::new(cfg).expect("loopback endpoint parses")
+    let endpoint = Endpoint::parse(&cfg.base).expect("loopback endpoint parses");
+    let pool = Arc::new(ConnPool::new(endpoint, cfg.timeout, 1));
+    PooledClient::with_parts(cfg, pool, Arc::new(RateGovernor::new(None)))
 }
 
 #[test]
