@@ -43,6 +43,7 @@ pub fn precheck(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nada_dsl::parser::MAX_EXPR_DEPTH;
     use nada_dsl::seeds::{CC_STATE_SOURCE, PENSIEVE_ARCH_SOURCE, PENSIEVE_STATE_SOURCE};
     use nada_dsl::{abr_schema, cc_schema};
 
@@ -112,6 +113,46 @@ mod tests {
             &abr_schema(),
         );
         assert!(matches!(r, Err(RejectReason::CompileError(_))));
+    }
+
+    /// Prechecks run on pool workers and daemon lanes with 2 MiB stacks.
+    /// A pathologically deep feature must come back as a compile reject on
+    /// such a thread; recursing through it there overflowed the stack and
+    /// aborted the whole process. The deepest accepted form still fits.
+    #[test]
+    fn over_deep_features_are_compile_rejects_on_small_stacks() {
+        // The leaf and the division are two levels; the calls make up the rest.
+        let at_cap = MAX_EXPR_DEPTH - 2;
+        let calls = format!(
+            "state calls {{ input buffer_s: scalar; feature f = {}buffer_s / 100.0{}; }}",
+            "abs(".repeat(at_cap),
+            ")".repeat(at_cap)
+        );
+        let parens = format!(
+            "state deep {{ feature f = {}1.0{}; }}",
+            "(".repeat(3_000),
+            ")".repeat(3_000)
+        );
+        let chain = format!(
+            "state long {{ feature f = {}; }}",
+            vec!["1.0"; 10_000].join("+")
+        );
+        for (code, too_deep) in [(calls, false), (parens, true), (chain, true)] {
+            let rejected = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let r = precheck(
+                        &cand(DesignKind::State, &code),
+                        &FuzzConfig::default(),
+                        &abr_schema(),
+                    );
+                    matches!(r, Err(RejectReason::CompileError(_)))
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+            assert_eq!(rejected, too_deep);
+        }
     }
 
     #[test]

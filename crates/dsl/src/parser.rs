@@ -7,6 +7,15 @@ use crate::error::DslError;
 use crate::lexer::lex;
 use crate::token::{Keyword, Token, TokenKind};
 
+/// Deepest expression a program may contain. Depth counts every
+/// parenthesis, unary minus, call and `+ - * /` operator between the
+/// expression's root and its deepest leaf, so it bounds both the parser's
+/// recursion and the tree that checking, evaluation and dropping walk
+/// recursively. The seeds and mock generations reach depth 7; nested
+/// calls, the costliest form, fit a 1 MiB stack at this depth even in an
+/// unoptimized build, and worker threads have 2 MiB.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parses a state program (`state <name> { … }`).
 pub fn parse_state(source: &str) -> Result<StateProgram, DslError> {
     let mut p = Parser::new(lex(source)?);
@@ -29,7 +38,7 @@ pub fn parse_state(source: &str) -> Result<StateProgram, DslError> {
                 p.advance();
                 let name = p.expect_ident("feature name")?;
                 p.expect(TokenKind::Eq)?;
-                let expr = p.parse_expr()?;
+                let (expr, _depth) = p.parse_expr()?;
                 p.expect(TokenKind::Semi)?;
                 features.push(FeatureDecl { name, expr });
             }
@@ -135,11 +144,17 @@ pub fn parse_arch(source: &str) -> Result<ArchProgram, DslError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses, unary minuses and calls open around the current token.
+    nesting: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, pos: 0 }
+        Self {
+            tokens,
+            pos: 0,
+            nesting: 0,
+        }
     }
 
     fn peek(&self) -> &TokenKind {
@@ -213,17 +228,45 @@ impl Parser {
         }
     }
 
+    /// The depth of a node over a subtree of depth `inner`, or a parse
+    /// error once the enclosing expression would exceed [`MAX_EXPR_DEPTH`].
+    fn deeper(&self, inner: usize) -> Result<usize, DslError> {
+        let depth = inner + 1;
+        if self.nesting + depth > MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(depth)
+    }
+
+    /// Runs `parse` one nesting level down, refusing before it recurses
+    /// past [`MAX_EXPR_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, DslError>,
+    ) -> Result<T, DslError> {
+        self.deeper(0)?;
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    // Each rule returns its tree with the tree's depth.
+
     // expr := term (("+"|"-") term)*
-    fn parse_expr(&mut self) -> Result<Expr, DslError> {
-        let mut lhs = self.parse_term()?;
+    fn parse_expr(&mut self) -> Result<(Expr, usize), DslError> {
+        let (mut lhs, mut depth) = self.parse_term()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, depth)),
             };
             self.advance();
-            let rhs = self.parse_term()?;
+            let (rhs, rhs_depth) = self.parse_term()?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -233,16 +276,17 @@ impl Parser {
     }
 
     // term := unary (("*"|"/") unary)*
-    fn parse_term(&mut self) -> Result<Expr, DslError> {
-        let mut lhs = self.parse_unary()?;
+    fn parse_term(&mut self) -> Result<(Expr, usize), DslError> {
+        let (mut lhs, mut depth) = self.parse_unary()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, depth)),
             };
             self.advance();
-            let rhs = self.parse_unary()?;
+            let (rhs, rhs_depth) = self.parse_unary()?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -251,46 +295,53 @@ impl Parser {
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, DslError> {
+    fn parse_unary(&mut self) -> Result<(Expr, usize), DslError> {
         if *self.peek() == TokenKind::Minus {
             self.advance();
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            let (e, depth) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::Neg(Box::new(e)), self.deeper(depth)?));
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, DslError> {
+    fn parse_primary(&mut self) -> Result<(Expr, usize), DslError> {
         match self.peek().clone() {
             TokenKind::Number(n) => {
                 self.advance();
-                Ok(Expr::Number(n))
+                Ok((Expr::Number(n), 1))
             }
             TokenKind::Ident(name) => {
                 self.advance();
                 if *self.peek() == TokenKind::LParen {
                     self.advance();
-                    let mut args = Vec::new();
-                    if *self.peek() != TokenKind::RParen {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if *self.peek() == TokenKind::Comma {
-                                self.advance();
-                            } else {
-                                break;
+                    let (args, depth) = self.nested(|p| {
+                        let mut args = Vec::new();
+                        let mut depth = 0;
+                        if *p.peek() != TokenKind::RParen {
+                            loop {
+                                let (arg, arg_depth) = p.parse_expr()?;
+                                args.push(arg);
+                                depth = depth.max(arg_depth);
+                                if *p.peek() == TokenKind::Comma {
+                                    p.advance();
+                                } else {
+                                    break;
+                                }
                             }
                         }
-                    }
+                        Ok((args, depth))
+                    })?;
                     self.expect(TokenKind::RParen)?;
-                    Ok(Expr::Call { name, args })
+                    Ok((Expr::Call { name, args }, self.deeper(depth)?))
                 } else {
-                    Ok(Expr::Ident(name))
+                    Ok((Expr::Ident(name), 1))
                 }
             }
             TokenKind::LParen => {
                 self.advance();
-                let e = self.parse_expr()?;
+                let (e, depth) = self.nested(Self::parse_expr)?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                Ok((e, self.deeper(depth)?))
             }
             other => Err(self.err(format!("expected an expression, found {other}"))),
         }
@@ -446,6 +497,61 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DslError::Duplicate { .. }));
+    }
+
+    fn nested_parens(levels: usize) -> String {
+        format!(
+            "state s {{ feature f = {}1.0{}; }}",
+            "(".repeat(levels),
+            ")".repeat(levels)
+        )
+    }
+
+    fn chain(terms: usize) -> String {
+        format!(
+            "state s {{ feature f = {}; }}",
+            vec!["1.0"; terms].join("+")
+        )
+    }
+
+    #[test]
+    fn depth_counts_every_nesting_form() {
+        let depth = |src: &str| {
+            let mut p = Parser::new(lex(src).unwrap());
+            p.parse_expr().unwrap().1
+        };
+        assert_eq!(depth("x"), 1);
+        assert_eq!(depth("(x)"), 2);
+        assert_eq!(depth("-x"), 2);
+        assert_eq!(depth("f(x, (y))"), 3);
+        assert_eq!(depth("a + b * c"), 3);
+        assert_eq!(depth("a + b + c + d"), 4);
+        assert!(parse_state(&nested_parens(MAX_EXPR_DEPTH - 1)).is_ok());
+        assert!(parse_state(&chain(MAX_EXPR_DEPTH)).is_ok());
+    }
+
+    #[test]
+    fn over_deep_expressions_are_parse_errors() {
+        for src in [
+            nested_parens(MAX_EXPR_DEPTH),
+            chain(MAX_EXPR_DEPTH + 1),
+            format!(
+                "state s {{ feature f = {}1.0; }}",
+                "-".repeat(MAX_EXPR_DEPTH)
+            ),
+            format!(
+                "state s {{ input t: vec[8]; feature f = {}t{}; }}",
+                "max(".repeat(MAX_EXPR_DEPTH),
+                ")".repeat(MAX_EXPR_DEPTH)
+            ),
+        ] {
+            match parse_state(&src) {
+                Err(DslError::Parse { message, .. }) => {
+                    assert!(message.contains("deeper than"), "{message}")
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

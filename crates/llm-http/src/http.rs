@@ -15,6 +15,14 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+/// Largest response head accepted: status line, headers and blank line.
+/// The same cap bounds one chunk-size line and a chunked trailer section.
+pub const MAX_HEADER_BYTES: usize = 64 * 1024;
+
+/// Largest response body accepted, however it is framed. A completion is
+/// kilobytes; the cap only stops a peer that never stops sending.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
 /// Why a request failed at the transport level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
@@ -270,13 +278,24 @@ impl Transport {
     }
 }
 
+fn body_too_large() -> HttpError {
+    HttpError::Malformed(format!("response body exceeds {MAX_BODY_BYTES} bytes"))
+}
+
 /// Reads exactly one HTTP/1.1 response from an open stream. `pending`
 /// holds bytes already read past the previous response; bytes past *this*
-/// response are left in it.
+/// response are left in it. Heads over [`MAX_HEADER_BYTES`] and bodies
+/// over [`MAX_BODY_BYTES`] are [`HttpError::Malformed`], refused before
+/// reading past the cap.
 fn read_one_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Response, HttpError> {
     let header_end = loop {
         if let Some(pos) = find_header_end(pending) {
             break pos;
+        }
+        if pending.len() >= MAX_HEADER_BYTES {
+            return Err(HttpError::Malformed(format!(
+                "response head exceeds {MAX_HEADER_BYTES} bytes"
+            )));
         }
         fill(stream, pending, "connection closed before response headers")?;
     };
@@ -293,12 +312,18 @@ fn read_one_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Re
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
     {
+        if len > MAX_BODY_BYTES {
+            return Err(body_too_large());
+        }
         take_exact(stream, pending, len)?
     } else {
         // No framing: the body runs to EOF (the server will close).
         let mut rest = std::mem::take(pending);
         let mut buf = [0u8; 4096];
         loop {
+            if rest.len() > MAX_BODY_BYTES {
+                return Err(body_too_large());
+            }
             match stream.read(&mut buf) {
                 Ok(0) => break,
                 Ok(n) => rest.extend_from_slice(&buf[..n]),
@@ -346,11 +371,17 @@ fn take_exact(
     Ok(pending.drain(..n).collect())
 }
 
-/// Takes one CRLF-terminated line from `pending`, reading as needed.
+/// Takes one CRLF-terminated line (at most [`MAX_HEADER_BYTES`]) from
+/// `pending`, reading as needed.
 fn take_line(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<String, HttpError> {
     let end = loop {
         if let Some(pos) = pending.windows(2).position(|w| w == b"\r\n") {
             break pos;
+        }
+        if pending.len() >= MAX_HEADER_BYTES {
+            return Err(HttpError::Malformed(format!(
+                "chunk line exceeds {MAX_HEADER_BYTES} bytes"
+            )));
         }
         fill(stream, pending, "connection closed mid-chunk")?;
     };
@@ -368,17 +399,26 @@ fn read_chunked_body(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Ve
             .map_err(|_| HttpError::Malformed(format!("bad chunk size `{size_text}`")))?;
         if size == 0 {
             // Trailer section: discard lines up to the blank terminator.
+            let mut trailer = 0;
             loop {
-                if take_line(stream, pending)?.is_empty() {
+                let line = take_line(stream, pending)?;
+                if line.is_empty() {
                     return Ok(out);
+                }
+                trailer += line.len() + 2;
+                if trailer > MAX_HEADER_BYTES {
+                    return Err(HttpError::Malformed(format!(
+                        "chunked trailer exceeds {MAX_HEADER_BYTES} bytes"
+                    )));
                 }
             }
         }
-        // A hostile size line must not overflow the CRLF arithmetic.
-        let framed = size
-            .checked_add(2)
-            .ok_or_else(|| HttpError::Malformed(format!("chunk size `{size_text}` overflows")))?;
-        let chunk = take_exact(stream, pending, framed)?;
+        // `out` never exceeds the cap, so neither the subtraction nor the
+        // CRLF arithmetic below can overflow.
+        if size > MAX_BODY_BYTES - out.len() {
+            return Err(body_too_large());
+        }
+        let chunk = take_exact(stream, pending, size + 2)?;
         out.extend_from_slice(&chunk[..size]);
     }
 }
@@ -449,13 +489,14 @@ mod tests {
 
     /// Serves `raw` as the response to one request on a fresh loopback
     /// connection, closes it, and returns what a [`Transport`] made of it.
-    fn respond_with(raw: &'static [u8]) -> Result<Response, HttpError> {
+    /// A client that hangs up before reading all of `raw` is not an error.
+    fn respond_with(raw: impl AsRef<[u8]> + Send + 'static) -> Result<Response, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             crate::server::read_request(&mut stream).expect("one request");
-            stream.write_all(raw).unwrap();
+            let _ = stream.write_all(raw.as_ref());
         });
         let endpoint = Endpoint::parse(&format!("http://127.0.0.1:{port}/v1")).unwrap();
         let result = Transport::new(endpoint, Duration::from_secs(5)).post_json("/x", &[], "{}");
@@ -499,6 +540,29 @@ mod tests {
         let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
                     ffffffffffffffff\r\nhello\r\n0\r\n\r\n";
         assert!(matches!(respond_with(raw), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn oversized_responses_are_refused_before_they_are_read() {
+        // 2^40 bytes declared, then a short body and a close: the cap, not
+        // the truncation, must decide.
+        let declared = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nhello";
+        assert!(matches!(
+            respond_with(declared),
+            Err(HttpError::Malformed(_))
+        ));
+        let chunk = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n\
+                      10000000000\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(respond_with(chunk), Err(HttpError::Malformed(_))));
+        // A head that never ends: the client stops at the cap.
+        let mut endless = b"HTTP/1.1 200 OK\r\n".to_vec();
+        while endless.len() <= 16 * MAX_HEADER_BYTES {
+            endless.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+        }
+        assert!(matches!(
+            respond_with(endless),
+            Err(HttpError::Malformed(_))
+        ));
     }
 
     #[test]

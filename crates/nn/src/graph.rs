@@ -352,6 +352,7 @@ impl FeatureNet {
     /// Batched [`FeatureNet::backward`] over the batch cached by
     /// [`FeatureNet::forward_batch`]: trunk first, then each branch on its
     /// column slice of the concat gradient, all in serial row order.
+    /// Nothing reads a branch's input gradient, so the branches skip it.
     fn backward_batch(
         &mut self,
         grad_out: &[f32],
@@ -361,7 +362,7 @@ impl FeatureNet {
         dx_sink: &mut Vec<f32>,
         ping: &mut Vec<f32>,
     ) {
-        self.trunk.backward_batch(grad_out, n, dconcat, ping);
+        self.trunk.backward_batch(grad_out, n, dconcat, ping, true);
         let concat_dim: usize = self.branch_dims.iter().sum();
         debug_assert_eq!(dconcat.len(), n * concat_dim);
         let mut coff = 0;
@@ -372,7 +373,7 @@ impl FeatureNet {
                     &dconcat[r * concat_dim + coff..r * concat_dim + coff + dim],
                 );
             }
-            branch.backward_batch(dbranch, n, dx_sink, ping);
+            branch.backward_batch(dbranch, n, dx_sink, ping, false);
             coff += dim;
         }
     }
@@ -617,8 +618,8 @@ impl ActorCritic {
             dx_sink,
             ..
         } = scratch;
-        self.actor_head.backward_batch(dlogits, n, d_actor);
-        self.critic_head.backward_batch(dvalues, n, d_critic);
+        self.actor_head.backward_batch(dlogits, n, d_actor, true);
+        self.critic_head.backward_batch(dvalues, n, d_critic, true);
         match &mut self.critic_net {
             Some(net) => {
                 self.actor_net

@@ -24,6 +24,7 @@ pub enum Activation {
 }
 
 impl Activation {
+    #[inline(always)]
     fn apply(&self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -41,6 +42,7 @@ impl Activation {
     }
 
     /// Derivative expressed via input `x` and output `y = f(x)`.
+    #[inline(always)]
     fn derivative(&self, x: f32, y: f32) -> f32 {
         match self {
             Activation::Relu => {
@@ -62,6 +64,37 @@ impl Activation {
             Activation::Linear => 1.0,
         }
     }
+}
+
+/// Runs `$body` with `$k` bound to `$kind` in one arm per variant, so in
+/// each copy of the loop the compiler knows the variant and folds the
+/// per-element `match` in [`Activation::apply`] /
+/// [`Activation::derivative`] away: one dispatch per call, not per element.
+macro_rules! per_kind {
+    ($kind:expr, |$k:ident| $body:block) => {
+        match $kind {
+            Activation::Relu => {
+                let $k = Activation::Relu;
+                $body
+            }
+            Activation::LeakyRelu { alpha } => {
+                let $k = Activation::LeakyRelu { alpha };
+                $body
+            }
+            Activation::Tanh => {
+                let $k = Activation::Tanh;
+                $body
+            }
+            Activation::Sigmoid => {
+                let $k = Activation::Sigmoid;
+                $body
+            }
+            Activation::Linear => {
+                let $k = Activation::Linear;
+                $body
+            }
+        }
+    };
 }
 
 /// An activation applied elementwise to a fixed-size vector.
@@ -94,9 +127,7 @@ impl ActivationLayer {
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.dim);
         debug_assert_eq!(y.len(), self.dim);
-        for (y_i, &x_i) in y.iter_mut().zip(x) {
-            *y_i = self.kind.apply(x_i);
-        }
+        map_into(self.kind, x, y);
     }
 
     /// Batched caching forward over `n` rows: appends `n * dim` outputs to
@@ -108,7 +139,8 @@ impl ActivationLayer {
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
         self.cache_y.clear();
-        self.cache_y.extend(xs.iter().map(|&v| self.kind.apply(v)));
+        self.cache_y.resize(xs.len(), 0.0);
+        map_into(self.kind, xs, &mut self.cache_y);
         ys.clear();
         ys.extend_from_slice(&self.cache_y);
     }
@@ -120,12 +152,23 @@ impl ActivationLayer {
         debug_assert_eq!(dys.len(), n * self.dim);
         debug_assert_eq!(self.cache_x.len(), n * self.dim);
         dxs.clear();
-        dxs.extend(
-            dys.iter()
-                .zip(self.cache_x.iter().zip(&self.cache_y))
-                .map(|(&g, (&x, &y))| g * self.kind.derivative(x, y)),
-        );
+        dxs.resize(dys.len(), 0.0);
+        let (xs, ys) = (&self.cache_x, &self.cache_y);
+        per_kind!(self.kind, |k| {
+            for ((d, &g), (&x, &y)) in dxs.iter_mut().zip(dys).zip(xs.iter().zip(ys)) {
+                *d = g * k.derivative(x, y);
+            }
+        });
     }
+}
+
+/// `ys[i] = kind.apply(xs[i])`, with the kind matched once per call.
+fn map_into(kind: Activation, xs: &[f32], ys: &mut [f32]) {
+    per_kind!(kind, |k| {
+        for (y, &x) in ys.iter_mut().zip(xs) {
+            *y = k.apply(x);
+        }
+    });
 }
 
 impl Layer for ActivationLayer {

@@ -5,6 +5,7 @@
 //! kernel 4, then flattens. Output layout is filter-major:
 //! `y[f * M + m]` where `M = L - K + 1`.
 
+use super::lanes::{dot_lanes, tile_weights, LANES};
 use super::Layer;
 use crate::param::{xavier_limit, Param};
 use rand::rngs::StdRng;
@@ -17,7 +18,12 @@ pub struct Conv1d {
     kernel: usize,
     w: Param,
     b: Param,
+    /// The single-sample input, or after [`Conv1d::forward_batch`] the
+    /// batch's rows zero-padded to [`Conv1d::padded_len`].
     cache_x: Vec<f32>,
+    /// `w` regrouped by [`tile_weights`] for the batched forward, rebuilt
+    /// on every call because the optimizer moves `w` between calls.
+    tiles: Vec<f32>,
 }
 
 impl Conv1d {
@@ -38,6 +44,7 @@ impl Conv1d {
             w: Param::uniform(filters * kernel, limit, rng),
             b: Param::zeros(filters),
             cache_x: Vec::new(),
+            tiles: Vec::new(),
         }
     }
 
@@ -52,12 +59,34 @@ impl Conv1d {
 
     /// Inference-only forward writing into `y` (`out_dim` long): no input
     /// cache, no allocation, bit-identical arithmetic to
-    /// [`Layer::forward`].
+    /// [`Layer::forward`]. Four filters advance together, each output its
+    /// own sum from the filter's bias over the taps in order.
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_len, "conv1d input size mismatch");
-        let m_len = self.out_len();
+        let (k_len, m_len) = (self.kernel, self.out_len());
         debug_assert_eq!(y.len(), self.filters * m_len);
-        for f in 0..self.filters {
+        let quads = y
+            .chunks_exact_mut(4 * m_len)
+            .zip(self.w.w.chunks_exact(4 * k_len))
+            .zip(self.b.w.chunks_exact(4));
+        for ((ys, ws), bs) in quads {
+            let (w01, w23) = ws.split_at(2 * k_len);
+            let ((w0, w1), (w2, w3)) = (w01.split_at(k_len), w23.split_at(k_len));
+            for (m, window) in x.windows(k_len).enumerate() {
+                let mut acc = [bs[0], bs[1], bs[2], bs[3]];
+                for ((((&xv, &a0), &a1), &a2), &a3) in window.iter().zip(w0).zip(w1).zip(w2).zip(w3)
+                {
+                    acc[0] += a0 * xv;
+                    acc[1] += a1 * xv;
+                    acc[2] += a2 * xv;
+                    acc[3] += a3 * xv;
+                }
+                for (yf, &a) in ys.chunks_exact_mut(m_len).zip(&acc) {
+                    yf[m] = a;
+                }
+            }
+        }
+        for f in self.filters - self.filters % 4..self.filters {
             let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
             let bias = self.b.w[f];
             for m in 0..m_len {
@@ -70,59 +99,124 @@ impl Conv1d {
         }
     }
 
+    /// Row stride of the batched input cache: each row is followed by
+    /// zeros, so [`Conv1d::backward_batch`] can read a full [`LANES`]-wide
+    /// window at every position.
+    fn padded_len(&self) -> usize {
+        self.in_len + LANES - 1
+    }
+
     /// Batched caching forward over `n` rows: appends `n` rows of `out_dim`
     /// outputs to `ys` and caches the inputs for
     /// [`Conv1d::backward_batch`]. Per row bit-identical to
-    /// [`Layer::forward`]; allocation-free after warm-up.
+    /// [`Layer::forward`]; allocation-free after warm-up. [`LANES`]
+    /// filters advance together, each output's sum starting from its
+    /// filter's bias and adding the kernel taps in order.
     pub(crate) fn forward_batch(&mut self, xs: &[f32], n: usize, ys: &mut Vec<f32>) {
         debug_assert_eq!(xs.len(), n * self.in_len, "conv1d batch size mismatch");
+        let padded = self.padded_len();
         self.cache_x.clear();
-        self.cache_x.extend_from_slice(xs);
+        self.cache_x.resize(n * padded, 0.0);
+        for (cached, x) in self
+            .cache_x
+            .chunks_exact_mut(padded)
+            .zip(xs.chunks_exact(self.in_len))
+        {
+            cached[..self.in_len].copy_from_slice(x);
+        }
+        tile_weights(&self.w.w, self.kernel, &mut self.tiles);
         let m_len = self.out_len();
+        let out_dim = self.out_dim();
         ys.clear();
-        ys.resize(n * self.filters * m_len, 0.0);
+        ys.resize(n * out_dim, 0.0);
         for (x, y) in xs
             .chunks_exact(self.in_len)
-            .zip(ys.chunks_exact_mut(self.filters * m_len))
+            .zip(ys.chunks_exact_mut(out_dim))
         {
-            for f in 0..self.filters {
-                let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
-                let bias = self.b.w[f];
-                for m in 0..m_len {
-                    let mut acc = bias;
-                    for (k, &wk) in w.iter().enumerate() {
-                        acc += wk * x[m + k];
+            for ((tile, bs), ys) in self
+                .tiles
+                .chunks_exact(self.kernel * LANES)
+                .zip(self.b.w.chunks(LANES))
+                .zip(y.chunks_mut(LANES * m_len))
+            {
+                let mut start = [0.0; LANES];
+                start[..bs.len()].copy_from_slice(bs);
+                for (m, window) in x.windows(self.kernel).enumerate() {
+                    let acc = dot_lanes(tile, window, start);
+                    for (yf, &a) in ys.chunks_exact_mut(m_len).zip(&acc) {
+                        yf[m] = a;
                     }
-                    y[f * m_len + m] = acc;
                 }
             }
         }
     }
 
-    /// Batched backward over the rows cached by [`Conv1d::forward_batch`]:
-    /// parameter gradients accumulate in serial row order (same per-weight
-    /// addition sequence as `n` single-sample `backward` calls) and per-row
-    /// input gradients land in `dxs`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// Batched backward over the rows cached by [`Conv1d::forward_batch`].
+    /// Filter-outer, row-inner: each filter's bias and weight gradients
+    /// are carried across the whole batch and still add their terms in
+    /// (row, position) order, as `n` single-sample `backward` calls would.
+    /// When `need_input_grad`, per-row input gradients land in `dxs`, each
+    /// adding in (filter, position) order; otherwise `dxs` is left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        dxs: &mut Vec<f32>,
+        need_input_grad: bool,
+    ) {
         let m_len = self.out_len();
-        debug_assert_eq!(dys.len(), n * self.filters * m_len);
-        debug_assert_eq!(self.cache_x.len(), n * self.in_len);
+        let out_dim = self.out_dim();
+        let padded = self.padded_len();
+        debug_assert_eq!(dys.len(), n * out_dim);
+        debug_assert_eq!(self.cache_x.len(), n * padded);
+        for (f, (wg, bg)) in self
+            .w
+            .g
+            .chunks_exact_mut(self.kernel)
+            .zip(&mut self.b.g)
+            .enumerate()
+        {
+            // The bias rides along with the first group of taps.
+            let mut bias_acc = *bg;
+            for (t, wg) in wg.chunks_mut(LANES).enumerate() {
+                let mut acc = [0.0; LANES];
+                acc[..wg.len()].copy_from_slice(wg);
+                for (grad_out, x) in dys
+                    .chunks_exact(out_dim)
+                    .zip(self.cache_x.chunks_exact(padded))
+                {
+                    let taps = x[t * LANES..].windows(LANES);
+                    for (&go, window) in grad_out[f * m_len..(f + 1) * m_len].iter().zip(taps) {
+                        if t == 0 {
+                            bias_acc += go;
+                        }
+                        for (a, &xv) in acc.iter_mut().zip(window) {
+                            *a += go * xv;
+                        }
+                    }
+                }
+                wg.copy_from_slice(&acc[..wg.len()]);
+            }
+            *bg = bias_acc;
+        }
         dxs.clear();
+        if !need_input_grad {
+            return;
+        }
         dxs.resize(n * self.in_len, 0.0);
-        for ((grad_out, x), dx) in dys
-            .chunks_exact(self.filters * m_len)
-            .zip(self.cache_x.chunks_exact(self.in_len))
+        for (grad_out, dx) in dys
+            .chunks_exact(out_dim)
             .zip(dxs.chunks_exact_mut(self.in_len))
         {
-            for f in 0..self.filters {
-                let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
-                let wg = &mut self.w.g[f * self.kernel..(f + 1) * self.kernel];
-                for m in 0..m_len {
-                    let go = grad_out[f * m_len + m];
-                    self.b.g[f] += go;
-                    for k in 0..self.kernel {
-                        wg[k] += go * x[m + k];
-                        dx[m + k] += go * w[k];
+            for (gf, wf) in grad_out
+                .chunks_exact(m_len)
+                .zip(self.w.w.chunks_exact(self.kernel))
+            {
+                // Kernel taps in reverse: input `j` then receives its terms
+                // in ascending position `m = j - k`, the single-sample order.
+                for (k, &wk) in wf.iter().enumerate().rev() {
+                    for (d, &go) in dx[k..k + m_len].iter_mut().zip(gf) {
+                        *d += go * wk;
                     }
                 }
             }

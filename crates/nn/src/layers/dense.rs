@@ -1,5 +1,6 @@
 //! Fully connected layer.
 
+use super::lanes::{dot_lanes, sum_start, tile_weights, LANES};
 use super::Layer;
 use crate::param::{xavier_limit, Param};
 use rand::rngs::StdRng;
@@ -12,6 +13,9 @@ pub struct Dense {
     w: Param,
     b: Param,
     cache_x: Vec<f32>,
+    /// `w` regrouped by [`tile_weights`] for the batched forward, rebuilt
+    /// on every call because the optimizer moves `w` between calls.
+    tiles: Vec<f32>,
 }
 
 impl Dense {
@@ -25,6 +29,7 @@ impl Dense {
             w: Param::uniform(in_dim * out_dim, limit, rng),
             b: Param::zeros(out_dim),
             cache_x: Vec::new(),
+            tiles: Vec::new(),
         }
     }
 }
@@ -32,13 +37,34 @@ impl Dense {
 impl Dense {
     /// Inference-only forward writing into `y` (`out_dim` long): no input
     /// cache, no allocation, bit-identical arithmetic to
-    /// [`Layer::forward`].
+    /// [`Layer::forward`]. Four outputs advance together, each its own
+    /// serial sum over the inputs.
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim, "dense input size mismatch");
         debug_assert_eq!(y.len(), self.out_dim);
-        for (o, y_o) in y.iter_mut().enumerate() {
-            let row = &self.w.w[o * self.in_dim..(o + 1) * self.in_dim];
-            *y_o = self.b.w[o] + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>();
+        let in_dim = self.in_dim;
+        let quads = y
+            .chunks_exact_mut(4)
+            .zip(self.b.w.chunks_exact(4))
+            .zip(self.w.w.chunks_exact(4 * in_dim));
+        for ((ys, bs), rows) in quads {
+            let (r01, r23) = rows.split_at(2 * in_dim);
+            let ((r0, r1), (r2, r3)) = (r01.split_at(in_dim), r23.split_at(in_dim));
+            let mut acc = [sum_start(); 4];
+            for ((((&xi, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                acc[0] += w0 * xi;
+                acc[1] += w1 * xi;
+                acc[2] += w2 * xi;
+                acc[3] += w3 * xi;
+            }
+            for ((y, &b), &a) in ys.iter_mut().zip(bs).zip(&acc) {
+                *y = b + a;
+            }
+        }
+        let tail = self.out_dim - self.out_dim % 4;
+        let rows = self.w.w[tail * in_dim..].chunks_exact(in_dim);
+        for ((y, &b), row) in y[tail..].iter_mut().zip(&self.b.w[tail..]).zip(rows) {
+            *y = b + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>();
         }
     }
 
@@ -50,15 +76,24 @@ impl Dense {
         debug_assert_eq!(xs.len(), n * self.in_dim, "dense batch size mismatch");
         self.cache_x.clear();
         self.cache_x.extend_from_slice(xs);
+        tile_weights(&self.w.w, self.in_dim, &mut self.tiles);
         ys.clear();
         ys.resize(n * self.out_dim, 0.0);
+        let start = [sum_start(); LANES];
         for (x, y) in xs
             .chunks_exact(self.in_dim)
             .zip(ys.chunks_exact_mut(self.out_dim))
         {
-            for (o, y_o) in y.iter_mut().enumerate() {
-                let row = &self.w.w[o * self.in_dim..(o + 1) * self.in_dim];
-                *y_o = self.b.w[o] + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>();
+            for ((tile, ys), bs) in self
+                .tiles
+                .chunks_exact(self.in_dim * LANES)
+                .zip(y.chunks_mut(LANES))
+                .zip(self.b.w.chunks(LANES))
+            {
+                let acc = dot_lanes(tile, x, start);
+                for ((y, &b), &a) in ys.iter_mut().zip(bs).zip(&acc) {
+                    *y = b + a;
+                }
             }
         }
     }
@@ -66,24 +101,49 @@ impl Dense {
     /// Batched backward over the rows cached by [`Dense::forward_batch`]:
     /// accumulates parameter gradients in serial row order (so the per-weight
     /// addition sequence is exactly what `n` single-sample `backward` calls
-    /// would produce) and writes per-row input gradients to `dxs`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// would produce) and, when `need_input_grad`, writes per-row input
+    /// gradients to `dxs`; otherwise `dxs` is left empty.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        dxs: &mut Vec<f32>,
+        need_input_grad: bool,
+    ) {
         debug_assert_eq!(dys.len(), n * self.out_dim);
         debug_assert_eq!(self.cache_x.len(), n * self.in_dim);
         dxs.clear();
-        dxs.resize(n * self.in_dim, 0.0);
-        for ((grad_out, x), dx) in dys
+        for (grad_out, x) in dys
             .chunks_exact(self.out_dim)
             .zip(self.cache_x.chunks_exact(self.in_dim))
+        {
+            for (bg, &go) in self.b.g.iter_mut().zip(grad_out) {
+                *bg += go;
+            }
+            if let [xi] = *x {
+                // A scalar input: one weight per output, walked as one run.
+                for (g, &go) in self.w.g.iter_mut().zip(grad_out) {
+                    *g += go * xi;
+                }
+                continue;
+            }
+            for (row_g, &go) in self.w.g.chunks_exact_mut(self.in_dim).zip(grad_out) {
+                for (g, &xi) in row_g.iter_mut().zip(x) {
+                    *g += go * xi;
+                }
+            }
+        }
+        if !need_input_grad {
+            return;
+        }
+        dxs.resize(n * self.in_dim, 0.0);
+        for (grad_out, dx) in dys
+            .chunks_exact(self.out_dim)
             .zip(dxs.chunks_exact_mut(self.in_dim))
         {
-            for (o, &go) in grad_out.iter().enumerate() {
-                self.b.g[o] += go;
-                let row_w = &self.w.w[o * self.in_dim..(o + 1) * self.in_dim];
-                let row_g = &mut self.w.g[o * self.in_dim..(o + 1) * self.in_dim];
-                for i in 0..self.in_dim {
-                    row_g[i] += go * x[i];
-                    dx[i] += go * row_w[i];
+            for (row_w, &go) in self.w.w.chunks_exact(self.in_dim).zip(grad_out) {
+                for (d, &w) in dx.iter_mut().zip(row_w) {
+                    *d += go * w;
                 }
             }
         }

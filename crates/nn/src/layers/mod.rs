@@ -10,6 +10,7 @@
 pub mod activation;
 pub mod conv1d;
 pub mod dense;
+mod lanes;
 pub mod lstm;
 pub mod rnn;
 
@@ -179,11 +180,19 @@ impl AnyLayer {
     /// [`AnyLayer::forward_batch`]: accumulates parameter gradients in
     /// serial row order (the exact addition sequence `n` single-sample
     /// `backward` calls would produce) and writes the per-row input
-    /// gradients to `dxs`.
-    pub(crate) fn backward_batch(&mut self, dys: &[f32], n: usize, dxs: &mut Vec<f32>) {
+    /// gradients to `dxs`. Dense and conv layers skip the input gradient
+    /// when `need_input_grad` is false (leaving `dxs` empty); the others
+    /// always write it.
+    pub(crate) fn backward_batch(
+        &mut self,
+        dys: &[f32],
+        n: usize,
+        dxs: &mut Vec<f32>,
+        need_input_grad: bool,
+    ) {
         match self {
-            AnyLayer::Dense(l) => l.backward_batch(dys, n, dxs),
-            AnyLayer::Conv1d(l) => l.backward_batch(dys, n, dxs),
+            AnyLayer::Dense(l) => l.backward_batch(dys, n, dxs, need_input_grad),
+            AnyLayer::Conv1d(l) => l.backward_batch(dys, n, dxs, need_input_grad),
             AnyLayer::Rnn(l) => l.backward_batch(dys, n, dxs),
             AnyLayer::Lstm(l) => l.backward_batch(dys, n, dxs),
             AnyLayer::Act(l) => l.backward_batch(dys, n, dxs),
@@ -268,18 +277,21 @@ impl Sequential {
     /// Batched backward over the batch cached by
     /// [`Sequential::forward_batch`]: walks the chain in reverse, each layer
     /// accumulating parameter gradients in serial row order. The input
-    /// gradients land in `dxs` (`n * in_dim` values).
+    /// gradients land in `dxs` (`n * in_dim` values); with
+    /// `need_input_grad` false the first layer may skip them (see
+    /// [`AnyLayer::backward_batch`]).
     pub(crate) fn backward_batch(
         &mut self,
         dys: &[f32],
         n: usize,
         dxs: &mut Vec<f32>,
         ping: &mut Vec<f32>,
+        need_input_grad: bool,
     ) {
         dxs.clear();
         dxs.extend_from_slice(dys);
-        for l in self.layers.iter_mut().rev() {
-            l.backward_batch(dxs, n, ping);
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            l.backward_batch(dxs, n, ping, need_input_grad || i > 0);
             std::mem::swap(dxs, ping);
         }
     }
@@ -407,7 +419,7 @@ pub(crate) mod gradcheck {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sequential_chains_dims() {
@@ -442,6 +454,81 @@ mod tests {
         let x = [0.3, -0.7, 1.1, 0.0, 0.5];
         gradcheck::check_input_grad(&mut s, &x, 2e-2);
         gradcheck::check_param_grad(&mut s, &x, 2e-2);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The batched and inference kernels against the single-sample ones,
+    /// bit for bit: outputs, input gradients and parameter gradients
+    /// accumulated over two batches, at widths that fill, split and
+    /// overrun the kernels' lane groups.
+    #[test]
+    fn batched_kernels_match_single_sample_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let layers = [
+            AnyLayer::Dense(Dense::new(1, 8, &mut rng)),
+            AnyLayer::Dense(Dense::new(104, 8, &mut rng)),
+            AnyLayer::Dense(Dense::new(13, 13, &mut rng)),
+            AnyLayer::Dense(Dense::new(8, 6, &mut rng)),
+            AnyLayer::Dense(Dense::new(5, 1, &mut rng)),
+            AnyLayer::Conv1d(Conv1d::new(8, 8, 4, &mut rng)),
+            AnyLayer::Conv1d(Conv1d::new(12, 13, 10, &mut rng)),
+            AnyLayer::Conv1d(Conv1d::new(3, 5, 7, &mut rng)),
+            AnyLayer::Conv1d(Conv1d::new(1, 2, 1, &mut rng)),
+            AnyLayer::Act(ActivationLayer::new(Activation::Sigmoid, 7)),
+            AnyLayer::Act(ActivationLayer::new(
+                Activation::LeakyRelu { alpha: 0.1 },
+                3,
+            )),
+        ];
+        let n = 3;
+        for mut single in layers {
+            single.for_each_param(&mut |p| {
+                p.w.iter_mut().for_each(|w| *w = rng.gen_range(-1.0..1.0))
+            });
+            let (in_dim, out_dim) = (single.in_dim(), single.out_dim());
+            let xs: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let dys: Vec<f32> = (0..n * out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut batched = single.clone();
+            let mut skipping = single.clone();
+
+            let (mut ys_ref, mut dxs_ref) = (Vec::new(), Vec::new());
+            let (mut ys, mut dxs) = (Vec::new(), Vec::new());
+            for _ in 0..2 {
+                ys_ref.clear();
+                dxs_ref.clear();
+                for (x, dy) in xs.chunks_exact(in_dim).zip(dys.chunks_exact(out_dim)) {
+                    ys_ref.extend(single.forward(x));
+                    dxs_ref.extend(single.backward(dy));
+                }
+                batched.forward_batch(&xs, n, &mut ys);
+                batched.backward_batch(&dys, n, &mut dxs, true);
+                assert_eq!(bits(&ys), bits(&ys_ref), "{single:?}");
+                assert_eq!(bits(&dxs), bits(&dxs_ref), "{single:?}");
+
+                // Skipping the input gradient leaves the parameter
+                // gradients as they were.
+                skipping.forward_batch(&xs, n, &mut ys);
+                skipping.backward_batch(&dys, n, &mut dxs, false);
+            }
+            let mut grads = [Vec::new(), Vec::new(), Vec::new()];
+            for (layer, g) in [&mut single, &mut batched, &mut skipping]
+                .into_iter()
+                .zip(&mut grads)
+            {
+                layer.for_each_param(&mut |p| g.extend(bits(&p.g)));
+            }
+            assert_eq!(grads[1], grads[0], "{single:?}");
+            assert_eq!(grads[2], grads[0], "{single:?}");
+
+            let mut y = Vec::new();
+            for (x, y_ref) in xs.chunks_exact(in_dim).zip(ys_ref.chunks_exact(out_dim)) {
+                single.infer_into(x, &mut y, &mut RecurrentScratch::default());
+                assert_eq!(bits(&y), bits(y_ref), "{single:?}");
+            }
+        }
     }
 
     #[test]

@@ -75,17 +75,18 @@ pub struct AdamStep {
 
 impl AdamStep {
     /// Updates one parameter block from its accumulated gradients, then
-    /// clears them.
+    /// clears them. The four buffers are walked in lockstep, so the
+    /// elementwise update vectorizes.
     pub fn apply(&self, p: &mut Param) {
-        for i in 0..p.w.len() {
-            let g = p.g[i];
-            p.m[i] = self.beta1 * p.m[i] + (1.0 - self.beta1) * g;
-            p.v[i] = self.beta2 * p.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = p.m[i] / self.bc1;
-            let v_hat = p.v[i] / self.bc2;
-            p.w[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let Param { w, g, m, v } = p;
+        for (((w, g), m), v) in w.iter_mut().zip(g.iter_mut()).zip(m).zip(v) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
+            let m_hat = *m / self.bc1;
+            let v_hat = *v / self.bc2;
+            *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *g = 0.0;
         }
-        p.zero_grad();
     }
 }
 

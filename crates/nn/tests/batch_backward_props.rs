@@ -1,71 +1,21 @@
 //! Property tests: the batched *training* kernels are bit-identical to the
 //! single-sample caching paths — gradients, optimizer state after a step,
 //! and a whole `A2cTrainer::update` against a serial reference — for random
-//! architectures (all branch kinds, both head modes), random feature
-//! shapes, and random batch sizes.
+//! architectures (all branch kinds, both head modes, widths 1–13), random
+//! feature shapes, and random batch sizes, and always for the network a
+//! Tiny-scale ABR search trains.
 
+mod common;
+
+use common::{bits, random_case, random_rows, tiny_pensieve, NetCase};
 use nada_nn::a2c::{softmax, A2cTrainer, EpisodeBuffer};
 use nada_nn::batch::{FeatureLayout, InferScratch, TrainScratch};
-use nada_nn::graph::{ActorCritic, ArchConfig, BranchKind, FeatureShape, HeadMode};
-use nada_nn::layers::Activation;
+use nada_nn::graph::ActorCritic;
 use nada_nn::param::clip_global_grad_norm;
 use nada_nn::{A2cConfig, Adam};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn arch_for(pick: u32) -> ArchConfig {
-    let temporal_branch = match pick % 4 {
-        0 => BranchKind::Conv1d {
-            filters: 3,
-            kernel: 3,
-        },
-        1 => BranchKind::Rnn { units: 4 },
-        2 => BranchKind::Lstm { units: 3 },
-        _ => BranchKind::Dense { units: 5 },
-    };
-    let activation = match (pick / 4) % 4 {
-        0 => Activation::Relu,
-        1 => Activation::Tanh,
-        2 => Activation::LeakyRelu { alpha: 0.05 },
-        _ => Activation::Sigmoid,
-    };
-    ArchConfig {
-        temporal_branch,
-        temporal_activation: activation,
-        scalar_branch: BranchKind::Dense { units: 4 },
-        scalar_activation: activation,
-        hidden_units: 8,
-        hidden_layers: 1 + (pick as usize / 16) % 2,
-        hidden_activation: activation,
-        heads: if (pick / 32).is_multiple_of(2) {
-            HeadMode::Separate
-        } else {
-            HeadMode::Shared
-        },
-    }
-}
-
-fn shapes_for(rng: &mut StdRng) -> Vec<FeatureShape> {
-    let n = rng.gen_range(1..5);
-    (0..n)
-        .map(|_| {
-            if rng.gen_bool(0.5) {
-                FeatureShape::Scalar
-            } else {
-                FeatureShape::Temporal(rng.gen_range(3..9))
-            }
-        })
-        .collect()
-}
-
-fn random_rows(rng: &mut StdRng, stride: usize, n: usize) -> Vec<f32> {
-    (0..n * stride).map(|_| rng.gen_range(-2.0..2.0)).collect()
-}
-
-fn bits(xs: &[f32]) -> Vec<u32> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
 
 /// The A2C update exactly as the single-step engine ran it: per-episode
 /// returns/advantages, batch-wide normalization, then one `forward_flat` +
@@ -155,106 +105,135 @@ fn serial_update_reference(
     )
 }
 
+/// `forward_batch` + `backward_batch` ≡ per-row `forward_flat` +
+/// `backward`: outputs, every accumulated gradient, and the full Adam
+/// state (`w`, `m`, `v`) after a step, all bitwise.
+fn check_backward(case: &NetCase, seed: u64, batch: usize) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBB);
+    let n_actions = case.n_actions;
+    let mut serial = ActorCritic::build(&case.arch, &case.shapes, n_actions, seed ^ 0xAB);
+    let mut batched = serial.clone();
+    let layout = FeatureLayout::new(&case.shapes);
+    let stride = layout.stride();
+    let rows = random_rows(&mut rng, stride, batch);
+    let dlogits: Vec<f32> = (0..batch * n_actions)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let dvalues: Vec<f32> = (0..batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
+
+    // Serial: immediate-backward discipline, one row at a time.
+    let mut ser_logits = Vec::new();
+    let mut ser_values = Vec::new();
+    for (r, row) in rows.chunks_exact(stride).enumerate() {
+        let (lg, v) = serial.forward_flat(row);
+        ser_logits.extend(lg);
+        ser_values.push(v);
+        serial.backward(&dlogits[r * n_actions..(r + 1) * n_actions], dvalues[r]);
+    }
+
+    // Batched: one forward, one backward.
+    let mut scratch = TrainScratch::default();
+    let mut logits = Vec::new();
+    let mut values = Vec::new();
+    batched.forward_batch(&rows, &layout, &mut logits, &mut values, &mut scratch);
+    batched.backward_batch(&dlogits, &dvalues, &mut scratch);
+
+    assert_eq!(bits(&logits), bits(&ser_logits), "{case:?}");
+    assert_eq!(bits(&values), bits(&ser_values), "{case:?}");
+    for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
+        assert_eq!(bits(&pa.g), bits(&pb.g), "{case:?}");
+    }
+
+    // And the optimizer state diverges nowhere after a step.
+    let mut opt_a = Adam::new(1e-3);
+    opt_a.step(&mut serial.params_mut());
+    let mut opt_b = Adam::new(1e-3);
+    opt_b.step(&mut batched.params_mut());
+    for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
+        assert_eq!(bits(&pa.w), bits(&pb.w), "{case:?}");
+        assert_eq!(bits(&pa.m), bits(&pb.m), "{case:?}");
+        assert_eq!(bits(&pa.v), bits(&pb.v), "{case:?}");
+    }
+}
+
+/// The production `A2cTrainer::update` ≡ the serial per-step reference:
+/// identical stats and an identical network afterwards, bitwise, over
+/// multi-episode batches.
+fn check_update(case: &NetCase, seed: u64, n_eps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBC);
+    let n_actions = case.n_actions;
+    let layout = FeatureLayout::new(&case.shapes);
+    let stride = layout.stride();
+    let cfg = A2cConfig {
+        normalize_advantages: seed.is_multiple_of(2),
+        ..A2cConfig::default()
+    };
+
+    let mut episodes = Vec::new();
+    for _ in 0..n_eps {
+        let steps = rng.gen_range(1..6);
+        let mut ep = EpisodeBuffer::new();
+        for _ in 0..steps {
+            let row = random_rows(&mut rng, stride, 1);
+            let action = rng.gen_range(0..n_actions);
+            let reward = rng.gen_range(-1.0..1.0);
+            ep.push_row(&row, layout.lens(), action, reward);
+        }
+        episodes.push(ep);
+    }
+
+    let reference = ActorCritic::build(&case.arch, &case.shapes, n_actions, seed ^ 0xCD);
+    let mut trainer = A2cTrainer::new(reference.clone(), cfg, seed ^ 0xEF);
+    let stats = trainer.update(&episodes);
+
+    let mut ref_net = reference;
+    let mut ref_opt = Adam::new(cfg.lr);
+    let (policy_loss, value_loss, entropy, grad_norm) =
+        serial_update_reference(&mut ref_net, &mut ref_opt, &cfg, &episodes);
+
+    assert_eq!(
+        stats.policy_loss.to_bits(),
+        policy_loss.to_bits(),
+        "{case:?}"
+    );
+    assert_eq!(stats.value_loss.to_bits(), value_loss.to_bits(), "{case:?}");
+    assert_eq!(stats.entropy.to_bits(), entropy.to_bits(), "{case:?}");
+    assert_eq!(stats.grad_norm.to_bits(), grad_norm.to_bits(), "{case:?}");
+    for (pa, pb) in trainer
+        .net_mut()
+        .params_mut()
+        .iter()
+        .zip(ref_net.params_mut().iter())
+    {
+        assert_eq!(bits(&pa.w), bits(&pb.w), "{case:?}");
+        assert_eq!(bits(&pa.m), bits(&pb.m), "{case:?}");
+        assert_eq!(bits(&pa.v), bits(&pb.v), "{case:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
-    /// `forward_batch` + `backward_batch` ≡ per-row `forward_flat` +
-    /// `backward`: outputs, every accumulated gradient, and the full Adam
-    /// state (`w`, `m`, `v`) after a step, all bitwise.
     #[test]
-    fn batched_backward_matches_serial(seed in 0u64..1_000_000, pick in 0u32..64, batch in 1usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBB);
-        let shapes = shapes_for(&mut rng);
-        let n_actions = rng.gen_range(2..7);
-        let mut serial = ActorCritic::build(&arch_for(pick), &shapes, n_actions, seed ^ 0xAB);
-        let mut batched = serial.clone();
-        let layout = FeatureLayout::new(&shapes);
-        let stride = layout.stride();
-        let rows = random_rows(&mut rng, stride, batch);
-        let dlogits: Vec<f32> = (0..batch * n_actions).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let dvalues: Vec<f32> = (0..batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
-
-        // Serial: immediate-backward discipline, one row at a time.
-        let mut ser_logits = Vec::new();
-        let mut ser_values = Vec::new();
-        for (r, row) in rows.chunks_exact(stride).enumerate() {
-            let (lg, v) = serial.forward_flat(row);
-            ser_logits.extend(lg);
-            ser_values.push(v);
-            serial.backward(&dlogits[r * n_actions..(r + 1) * n_actions], dvalues[r]);
-        }
-
-        // Batched: one forward, one backward.
-        let mut scratch = TrainScratch::default();
-        let mut logits = Vec::new();
-        let mut values = Vec::new();
-        batched.forward_batch(&rows, &layout, &mut logits, &mut values, &mut scratch);
-        batched.backward_batch(&dlogits, &dvalues, &mut scratch);
-
-        prop_assert_eq!(bits(&logits), bits(&ser_logits));
-        prop_assert_eq!(bits(&values), bits(&ser_values));
-        for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
-            prop_assert_eq!(bits(&pa.g), bits(&pb.g));
-        }
-
-        // And the optimizer state diverges nowhere after a step.
-        let mut opt_a = Adam::new(1e-3);
-        opt_a.step(&mut serial.params_mut());
-        let mut opt_b = Adam::new(1e-3);
-        opt_b.step(&mut batched.params_mut());
-        for (pa, pb) in serial.params_mut().iter().zip(batched.params_mut().iter()) {
-            prop_assert_eq!(bits(&pa.w), bits(&pb.w));
-            prop_assert_eq!(bits(&pa.m), bits(&pb.m));
-            prop_assert_eq!(bits(&pa.v), bits(&pb.v));
-        }
+    fn batched_backward_matches_serial(seed in 0u64..1_000_000, batch in 1usize..6) {
+        let case = random_case(&mut StdRng::seed_from_u64(seed ^ 0x3F));
+        check_backward(&case, seed, batch);
     }
 
-    /// The production `A2cTrainer::update` ≡ the serial per-step reference:
-    /// identical stats and an identical network afterwards, bitwise, over
-    /// multi-episode batches.
     #[test]
-    fn batched_update_matches_serial_reference(seed in 0u64..1_000_000, pick in 0u32..64, n_eps in 1usize..4) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBC);
-        let shapes = shapes_for(&mut rng);
-        let n_actions = rng.gen_range(2..7);
-        let layout = FeatureLayout::new(&shapes);
-        let stride = layout.stride();
-        let cfg = A2cConfig {
-            normalize_advantages: seed.is_multiple_of(2),
-            ..A2cConfig::default()
-        };
+    fn batched_update_matches_serial_reference(seed in 0u64..1_000_000, n_eps in 1usize..4) {
+        let case = random_case(&mut StdRng::seed_from_u64(seed ^ 0x4F));
+        check_update(&case, seed, n_eps);
+    }
+}
 
-        let mut episodes = Vec::new();
-        for _ in 0..n_eps {
-            let steps = rng.gen_range(1..6);
-            let mut ep = EpisodeBuffer::new();
-            let lens: Vec<usize> = shapes.iter().map(|s| s.len()).collect();
-            for _ in 0..steps {
-                let row = random_rows(&mut rng, stride, 1);
-                let action = rng.gen_range(0..n_actions);
-                let reward = rng.gen_range(-1.0..1.0);
-                ep.push_row(&row, &lens, action, reward);
-            }
-            episodes.push(ep);
+#[test]
+fn tiny_pensieve_backward_and_update_match_serial() {
+    let case = tiny_pensieve();
+    for seed in 0..4 {
+        for batch in [1, 2, 5] {
+            check_backward(&case, seed, batch);
         }
-
-        let reference = ActorCritic::build(&arch_for(pick), &shapes, n_actions, seed ^ 0xCD);
-        let mut trainer = A2cTrainer::new(reference.clone(), cfg, seed ^ 0xEF);
-        let stats = trainer.update(&episodes);
-
-        let mut ref_net = reference;
-        let mut ref_opt = Adam::new(cfg.lr);
-        let (policy_loss, value_loss, entropy, grad_norm) =
-            serial_update_reference(&mut ref_net, &mut ref_opt, &cfg, &episodes);
-
-        prop_assert_eq!(stats.policy_loss.to_bits(), policy_loss.to_bits());
-        prop_assert_eq!(stats.value_loss.to_bits(), value_loss.to_bits());
-        prop_assert_eq!(stats.entropy.to_bits(), entropy.to_bits());
-        prop_assert_eq!(stats.grad_norm.to_bits(), grad_norm.to_bits());
-        for (pa, pb) in trainer.net_mut().params_mut().iter().zip(ref_net.params_mut().iter()) {
-            prop_assert_eq!(bits(&pa.w), bits(&pb.w));
-            prop_assert_eq!(bits(&pa.m), bits(&pb.m));
-            prop_assert_eq!(bits(&pa.v), bits(&pb.v));
-        }
+        check_update(&case, seed, 1 + seed as usize % 3);
     }
 }

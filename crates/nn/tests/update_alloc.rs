@@ -51,16 +51,12 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A small net exercising every batched kernel family: Conv1d and LSTM
-/// temporal branches would need two nets, so pick LSTM (the heaviest
-/// cache discipline) plus a dense scalar branch and separate heads.
-fn trainer_and_episodes() -> (A2cTrainer, Vec<nada_nn::EpisodeBuffer>) {
-    let shapes = vec![
-        FeatureShape::Temporal(6),
-        FeatureShape::Scalar,
-        FeatureShape::Scalar,
-    ];
-    let arch = ArchConfig {
+/// The two temporal branch families with the most scratch state: LSTM
+/// (the heaviest cache discipline) and the Tiny Pensieve conv branch
+/// (padded input rows, regrouped weights), each with a dense scalar
+/// branch and separate heads.
+fn archs() -> [ArchConfig; 2] {
+    let lstm = ArchConfig {
         temporal_branch: BranchKind::Lstm { units: 4 },
         temporal_activation: Activation::Tanh,
         scalar_branch: BranchKind::Dense { units: 4 },
@@ -70,7 +66,16 @@ fn trainer_and_episodes() -> (A2cTrainer, Vec<nada_nn::EpisodeBuffer>) {
         hidden_activation: Activation::Relu,
         heads: HeadMode::Separate,
     };
-    let net = ActorCritic::build(&arch, &shapes, 4, 7);
+    [lstm, ArchConfig::pensieve_original().scaled_down(16)]
+}
+
+fn trainer_and_episodes(arch: &ArchConfig) -> (A2cTrainer, Vec<nada_nn::EpisodeBuffer>) {
+    let shapes = vec![
+        FeatureShape::Temporal(6),
+        FeatureShape::Scalar,
+        FeatureShape::Scalar,
+    ];
+    let net = ActorCritic::build(arch, &shapes, 4, 7);
     let trainer = A2cTrainer::new(net, A2cConfig::default(), 11);
 
     let lens: Vec<usize> = shapes.iter().map(|s| s.len()).collect();
@@ -91,26 +96,29 @@ fn trainer_and_episodes() -> (A2cTrainer, Vec<nada_nn::EpisodeBuffer>) {
 
 #[test]
 fn warm_update_allocates_nothing() {
-    let (mut trainer, episodes) = trainer_and_episodes();
+    for arch in archs() {
+        let (mut trainer, episodes) = trainer_and_episodes(&arch);
 
-    // Warm-up: scratch buffers, layer caches and flat return/advantage
-    // buffers all reach their fixpoint capacities within a few rounds.
-    for _ in 0..8 {
-        trainer.update(&episodes);
-    }
+        // Warm-up: scratch buffers, layer caches and flat return/advantage
+        // buffers all reach their fixpoint capacities within a few rounds.
+        for _ in 0..8 {
+            trainer.update(&episodes);
+        }
 
-    let before = allocations();
-    for _ in 0..50 {
-        let stats = trainer.update(&episodes);
-        assert!(stats.grad_norm.is_finite());
+        let before = allocations();
+        for _ in 0..50 {
+            let stats = trainer.update(&episodes);
+            assert!(stats.grad_norm.is_finite());
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "warm A2C update must not allocate (got {} allocations over 50 updates, {:?})",
+            after - before,
+            arch.temporal_branch
+        );
     }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "warm A2C update must not allocate (got {} allocations over 50 updates)",
-        after - before
-    );
 }
 
 #[test]
@@ -118,7 +126,7 @@ fn cold_update_still_allocates_but_only_while_warming() {
     // Sanity check on the counter itself: the very first update through a
     // fresh trainer *does* allocate, so a zero reading above cannot be a
     // broken counter.
-    let (mut trainer, episodes) = trainer_and_episodes();
+    let (mut trainer, episodes) = trainer_and_episodes(&archs()[1]);
     let before = allocations();
     trainer.update(&episodes);
     assert!(

@@ -154,6 +154,9 @@ fn serve_connection(
     started: Instant,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    // Responses are small and a client waits on each one: send every frame
+    // at once instead of holding it for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     loop {
         match read_frame(&mut stream) {
             Ok(Some(payload)) => {

@@ -361,6 +361,7 @@ impl Scheduler {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
                 job.cancel_requested = true;
+                job.nada = None;
                 let _ = self.inner.spool.remove_job(id);
                 state.ready.retain(|&q| q != id);
                 drop(state);
@@ -633,7 +634,10 @@ fn lane_loop(inner: &Inner, lane: usize) {
                     };
                     match inner.spool.write_result(id, &result) {
                         Ok(()) => {
-                            job.checkpoint = Some(step.checkpoint);
+                            // The result carries the final checkpoint's
+                            // summaries and hall: keep only it, as a job
+                            // recovered from the spool does.
+                            job.checkpoint = None;
                             job.result = Some(Arc::new(result));
                             job.state = JobState::Done;
                         }
@@ -648,6 +652,11 @@ fn lane_loop(inner: &Inner, lane: usize) {
                     state.ready.push_back(id);
                 }
             }
+        }
+        let job = state.jobs.get_mut(&id).expect("running job exists");
+        if job.state.is_terminal() {
+            // Never runs again: free its pipeline and dataset.
+            job.nada = None;
         }
         inner.cv.notify_all();
     }

@@ -54,15 +54,19 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Writes one frame: length prefix, payload, flush.
+/// Writes one frame: length prefix and payload in a single write, then
+/// flush. One write per frame matters on TCP: a separate 4-byte header
+/// write leaves the payload waiting behind Nagle's algorithm until the
+/// peer's delayed ACK (up to 40 ms).
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
     let len = payload.len();
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
-    let header = (len as u32).to_be_bytes();
-    w.write_all(&header)
-        .and_then(|_| w.write_all(payload.as_bytes()))
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)
         .and_then(|_| w.flush())
         .map_err(|e| WireError::Io(e.to_string()))
 }
@@ -126,6 +130,40 @@ mod tests {
             self.at += 1;
             Ok(1)
         }
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (i, payload) in ["ping", "", "π ≠ \"3\"\n"].into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(
+                w.writes,
+                i + 1,
+                "frame {payload:?} took more than one write"
+            );
+        }
+        let mut r = std::io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("ping"));
     }
 
     #[test]

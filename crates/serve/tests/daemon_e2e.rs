@@ -81,3 +81,33 @@ fn daemon_serves_submit_poll_result_cancel_and_shutdown() {
     assert!(spooled.iter().all(|j| j.result.is_some()));
     let _ = fs::remove_dir_all(root);
 }
+
+/// A request/response round trip costs loopback time, not a delayed-ACK
+/// stall: with the frame header and payload written separately and Nagle
+/// left on, every response waited ~40 ms for the client's ACK.
+#[test]
+fn ping_round_trips_are_not_held_for_delayed_acks() {
+    let root = scratch("ping");
+    let daemon = Daemon::bind("127.0.0.1:0", root.clone()).unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut client = Client::connect(addr).unwrap();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.ping().expect("daemon answers ping");
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median ping round trip {median:?}"
+    );
+
+    client.shutdown().expect("daemon acknowledges shutdown");
+    server.join().unwrap().unwrap();
+    let _ = fs::remove_dir_all(root);
+}
