@@ -285,8 +285,10 @@ fn body_too_large() -> HttpError {
 /// Reads exactly one HTTP/1.1 response from an open stream. `pending`
 /// holds bytes already read past the previous response; bytes past *this*
 /// response are left in it. Heads over [`MAX_HEADER_BYTES`] and bodies
-/// over [`MAX_BODY_BYTES`] are [`HttpError::Malformed`], refused before
-/// reading past the cap.
+/// over [`MAX_BODY_BYTES`] are [`HttpError::Malformed`]: a declared length
+/// or chunk size over the cap is refused before any of its bytes are
+/// read, a body read to EOF one byte past the cap, and a head at most one
+/// 4 KiB read past it.
 fn read_one_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Response, HttpError> {
     let header_end = loop {
         if let Some(pos) = find_header_end(pending) {
@@ -321,10 +323,14 @@ fn read_one_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Result<Re
         let mut rest = std::mem::take(pending);
         let mut buf = [0u8; 4096];
         loop {
-            if rest.len() > MAX_BODY_BYTES {
+            // Never read more than one byte past the cap: enough to know
+            // the body crossed it.
+            let room = (MAX_BODY_BYTES + 1).saturating_sub(rest.len());
+            if room == 0 {
                 return Err(body_too_large());
             }
-            match stream.read(&mut buf) {
+            let want = room.min(buf.len());
+            match stream.read(&mut buf[..want]) {
                 Ok(0) => break,
                 Ok(n) => rest.extend_from_slice(&buf[..n]),
                 Err(e) => return Err(HttpError::Io(e.to_string())),
@@ -561,6 +567,17 @@ mod tests {
         }
         assert!(matches!(
             respond_with(endless),
+            Err(HttpError::Malformed(_))
+        ));
+        // No framing: the body runs to EOF, and the cap is exact.
+        let unframed = |len: usize| {
+            let mut raw = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+            raw.resize(raw.len() + len, b'a');
+            respond_with(raw)
+        };
+        assert_eq!(unframed(MAX_BODY_BYTES).unwrap().body.len(), MAX_BODY_BYTES);
+        assert!(matches!(
+            unframed(MAX_BODY_BYTES + 1),
             Err(HttpError::Malformed(_))
         ));
     }

@@ -59,34 +59,12 @@ impl Conv1d {
 
     /// Inference-only forward writing into `y` (`out_dim` long): no input
     /// cache, no allocation, bit-identical arithmetic to
-    /// [`Layer::forward`]. Four filters advance together, each output its
-    /// own sum from the filter's bias over the taps in order.
+    /// [`Layer::forward`].
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_len, "conv1d input size mismatch");
-        let (k_len, m_len) = (self.kernel, self.out_len());
+        let m_len = self.out_len();
         debug_assert_eq!(y.len(), self.filters * m_len);
-        let quads = y
-            .chunks_exact_mut(4 * m_len)
-            .zip(self.w.w.chunks_exact(4 * k_len))
-            .zip(self.b.w.chunks_exact(4));
-        for ((ys, ws), bs) in quads {
-            let (w01, w23) = ws.split_at(2 * k_len);
-            let ((w0, w1), (w2, w3)) = (w01.split_at(k_len), w23.split_at(k_len));
-            for (m, window) in x.windows(k_len).enumerate() {
-                let mut acc = [bs[0], bs[1], bs[2], bs[3]];
-                for ((((&xv, &a0), &a1), &a2), &a3) in window.iter().zip(w0).zip(w1).zip(w2).zip(w3)
-                {
-                    acc[0] += a0 * xv;
-                    acc[1] += a1 * xv;
-                    acc[2] += a2 * xv;
-                    acc[3] += a3 * xv;
-                }
-                for (yf, &a) in ys.chunks_exact_mut(m_len).zip(&acc) {
-                    yf[m] = a;
-                }
-            }
-        }
-        for f in self.filters - self.filters % 4..self.filters {
+        for f in 0..self.filters {
             let w = &self.w.w[f * self.kernel..(f + 1) * self.kernel];
             let bias = self.b.w[f];
             for m in 0..m_len {

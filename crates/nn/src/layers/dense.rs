@@ -37,34 +37,13 @@ impl Dense {
 impl Dense {
     /// Inference-only forward writing into `y` (`out_dim` long): no input
     /// cache, no allocation, bit-identical arithmetic to
-    /// [`Layer::forward`]. Four outputs advance together, each its own
-    /// serial sum over the inputs.
+    /// [`Layer::forward`].
     pub(crate) fn infer_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim, "dense input size mismatch");
         debug_assert_eq!(y.len(), self.out_dim);
-        let in_dim = self.in_dim;
-        let quads = y
-            .chunks_exact_mut(4)
-            .zip(self.b.w.chunks_exact(4))
-            .zip(self.w.w.chunks_exact(4 * in_dim));
-        for ((ys, bs), rows) in quads {
-            let (r01, r23) = rows.split_at(2 * in_dim);
-            let ((r0, r1), (r2, r3)) = (r01.split_at(in_dim), r23.split_at(in_dim));
-            let mut acc = [sum_start(); 4];
-            for ((((&xi, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                acc[0] += w0 * xi;
-                acc[1] += w1 * xi;
-                acc[2] += w2 * xi;
-                acc[3] += w3 * xi;
-            }
-            for ((y, &b), &a) in ys.iter_mut().zip(bs).zip(&acc) {
-                *y = b + a;
-            }
-        }
-        let tail = self.out_dim - self.out_dim % 4;
-        let rows = self.w.w[tail * in_dim..].chunks_exact(in_dim);
-        for ((y, &b), row) in y[tail..].iter_mut().zip(&self.b.w[tail..]).zip(rows) {
-            *y = b + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>();
+        for (o, y_o) in y.iter_mut().enumerate() {
+            let row = &self.w.w[o * self.in_dim..(o + 1) * self.in_dim];
+            *y_o = self.b.w[o] + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>();
         }
     }
 
@@ -119,13 +98,6 @@ impl Dense {
         {
             for (bg, &go) in self.b.g.iter_mut().zip(grad_out) {
                 *bg += go;
-            }
-            if let [xi] = *x {
-                // A scalar input: one weight per output, walked as one run.
-                for (g, &go) in self.w.g.iter_mut().zip(grad_out) {
-                    *g += go * xi;
-                }
-                continue;
             }
             for (row_g, &go) in self.w.g.chunks_exact_mut(self.in_dim).zip(grad_out) {
                 for (g, &xi) in row_g.iter_mut().zip(x) {

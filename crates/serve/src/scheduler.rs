@@ -671,3 +671,48 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         "job panicked".to_string()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job_fields(sched: &Scheduler, id: u64) -> (bool, bool) {
+        let state = sched.inner.state.lock().unwrap();
+        let job = &state.jobs[&id];
+        (job.nada.is_some(), job.checkpoint.is_some())
+    }
+
+    #[test]
+    fn terminal_jobs_keep_only_what_recovery_would_load() {
+        let root =
+            std::env::temp_dir().join(format!("nada-serve-unit-terminal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spool = Spool::open(root.clone()).unwrap();
+
+        let sched = Scheduler::new(spool.clone(), 1).unwrap();
+        let mut spec = JobSpec::new("abr", "FCC", 5);
+        spec.rounds = 2;
+        let done = sched.submit(spec).unwrap();
+        let status = sched.wait_terminal(done, Duration::from_secs(300)).unwrap();
+        assert_eq!(status.state, "done", "{:?}", status.error);
+        assert_eq!(job_fields(&sched, done), (false, false));
+        let live = (sched.status(done), sched.progress(done));
+        sched.shutdown();
+
+        // A job cancelled while queued never runs again either.
+        let idle = Scheduler::new(spool.clone(), 0).unwrap();
+        let cancelled = idle.submit(JobSpec::new("cc", "FCC", 6)).unwrap();
+        assert_eq!(job_fields(&idle, cancelled), (true, false));
+        idle.cancel(cancelled).unwrap();
+        assert_eq!(job_fields(&idle, cancelled), (false, false));
+        idle.shutdown();
+
+        // The done job, recovered from the spool, reads the same.
+        let recovered = Scheduler::new(spool, 0).unwrap();
+        assert_eq!(job_fields(&recovered, done), (false, false));
+        assert_eq!((recovered.status(done), recovered.progress(done)), live);
+        assert_eq!(live.1.unwrap().1.len(), 2);
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
